@@ -20,12 +20,7 @@ type t = {
           (hits do not reorder); under Random insertion also fills slot 0
           but the victim way is drawn uniformly. *)
   counters : Counters.t;
-  mutable evicted_by_os : Bytes.t;
-      (** Per line: '\000' = never evicted, '\001' = last evictor was OS,
-          '\002' = last evictor was the application.  Indexed by line
-          number and grown by doubling — line numbers are bounded by the
-          layout extent over the line size, so this stays a few tens of
-          KB while replacing two hashtable probes on every miss. *)
+  evictors : Evictors.t;
   mutable attr : int array array;  (** per image: per block miss counts *)
   mutable attr_self : int array array;
   mutable attr_cross : int array array;
@@ -52,7 +47,7 @@ let create config =
     line_shift = log2 config.Config.line;
     tags = Array.make (sets * config.Config.assoc) (-1);
     counters = Counters.create ();
-    evicted_by_os = Bytes.make 4096 '\000';
+    evictors = Evictors.create ();
     attr = [||];
     attr_self = [||];
     attr_cross = [||];
@@ -86,15 +81,16 @@ let block_misses_cross t ~image =
     invalid_arg "Sim.block_misses_cross: attribution not enabled";
   t.attr_cross.(image)
 
-let record_eviction t line os =
-  let n = Bytes.length t.evicted_by_os in
-  if line >= n then begin
-    let rec grow n = if line < n then n else grow (2 * n) in
-    let b = Bytes.make (grow (2 * n)) '\000' in
-    Bytes.blit t.evicted_by_os 0 b 0 n;
-    t.evicted_by_os <- b
-  end;
-  Bytes.unsafe_set t.evicted_by_os line (if os then '\001' else '\002')
+(* The way of [tags.(base) .. tags.(base + ways - 1)] holding [line], or
+   -1.  One top-level loop serves lookup, Random's invalid-way search
+   ([line = -1]) and [probe]; the annotations keep the compare an inline
+   int compare, and being top-level it builds no closure per access. *)
+let rec find_from (tags : int array) base ways (line : int) i =
+  if i = ways then -1
+  else if Array.unsafe_get tags (base + i) = line then i
+  else find_from tags base ways line (i + 1)
+
+let find_way tags ~base ~ways line = find_from tags base ways line 0
 
 (* Returns true on hit.  On miss, installs the line as MRU and records the
    victim's evictor domain. *)
@@ -108,26 +104,22 @@ let access_line t ~os line =
       let cur = Array.unsafe_get tags set in
       if cur = line then true
       else begin
-        if cur >= 0 then record_eviction t cur os;
+        if cur >= 0 then Evictors.record t.evictors cur ~os;
         Array.unsafe_set tags set line;
         false
       end
   | (Lru_assoc | Fifo_assoc | Random_assoc _) as kernel ->
-      let set = line land (t.sets - 1) in
-      let base = set * t.assoc in
       let assoc = t.assoc in
+      let base = (line land (t.sets - 1)) * assoc in
       let tags = t.tags in
-      (* Find the way holding [line]. *)
-      let rec find i = if i = assoc then -1 else if tags.(base + i) = line then i else find (i + 1) in
-      let way = find 0 in
+      let way = find_way tags ~base ~ways:assoc line in
       if way >= 0 then begin
         (* LRU refreshes on hit; FIFO and Random do not. *)
         (match kernel with
         | Lru_assoc ->
             if way > 0 then begin
-              let v = tags.(base + way) in
               Array.blit tags base tags (base + 1) way;
-              tags.(base) <- v
+              Array.unsafe_set tags base line
             end
         | Direct | Fifo_assoc | Random_assoc _ -> ());
         true
@@ -139,53 +131,15 @@ let access_line t ~os line =
           match kernel with
           | Random_assoc g ->
               (* Prefer an invalid way; otherwise uniform. *)
-              let rec invalid i =
-                if i = assoc then None
-                else if tags.(base + i) < 0 then Some i
-                else invalid (i + 1)
-              in
-              (match invalid 0 with Some i -> i | None -> Prng.int g assoc)
+              let free = find_way tags ~base ~ways:assoc (-1) in
+              if free >= 0 then free else Prng.int g assoc
           | Direct | Lru_assoc | Fifo_assoc -> assoc - 1
         in
-        let victim = tags.(base + victim_way) in
-        if victim >= 0 then record_eviction t victim os;
+        let victim = Array.unsafe_get tags (base + victim_way) in
+        if victim >= 0 then Evictors.record t.evictors victim ~os;
         Array.blit tags base tags (base + 1) victim_way;
-        tags.(base) <- line;
+        Array.unsafe_set tags base line;
         false
-      end
-
-(* Returns: 0 = cold, 1 = self-interference, 2 = cross-interference. *)
-let classify t ~os line =
-  let c = t.counters in
-  let tag =
-    if line < Bytes.length t.evicted_by_os then
-      Bytes.unsafe_get t.evicted_by_os line
-    else '\000'
-  in
-  match tag with
-  | '\000' ->
-      if os then c.Counters.os_cold <- c.Counters.os_cold + 1
-      else c.Counters.app_cold <- c.Counters.app_cold + 1;
-      0
-  | '\001' ->
-      (* Last evictor was the OS. *)
-      if os then begin
-        c.Counters.os_self <- c.Counters.os_self + 1;
-        1
-      end
-      else begin
-        c.Counters.app_cross <- c.Counters.app_cross + 1;
-        2
-      end
-  | _ ->
-      (* Last evictor was the application. *)
-      if os then begin
-        c.Counters.os_cross <- c.Counters.os_cross + 1;
-        2
-      end
-      else begin
-        c.Counters.app_self <- c.Counters.app_self + 1;
-        1
       end
 
 let access t ~os ~image ~block ~addr ~bytes =
@@ -197,7 +151,7 @@ let access t ~os ~image ~block ~addr ~bytes =
   let last = (addr + bytes - 1) lsr t.line_shift in
   for line = first to last do
     if not (access_line t ~os line) then begin
-      let kind = classify t ~os line in
+      let kind = Evictors.classify t.evictors t.counters ~os line in
       if t.attribution then begin
         let a = t.attr.(image) in
         a.(block) <- a.(block) + 1;
@@ -215,14 +169,7 @@ let access t ~os ~image ~block ~addr ~bytes =
 
 let probe t ~addr =
   let line = addr lsr t.line_shift in
-  let set = line land (t.sets - 1) in
-  let base = set * t.assoc in
-  let rec find i =
-    if i = t.assoc then false
-    else if t.tags.(base + i) = line then true
-    else find (i + 1)
-  in
-  find 0
+  find_way t.tags ~base:((line land (t.sets - 1)) * t.assoc) ~ways:t.assoc line >= 0
 
 let reset_counters t =
   Counters.reset t.counters;
@@ -234,5 +181,5 @@ let reset_counters t =
 
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Bytes.fill t.evicted_by_os 0 (Bytes.length t.evicted_by_os) '\000';
+  Evictors.clear t.evictors;
   reset_counters t

@@ -28,6 +28,12 @@ val access : t -> os:bool -> image:int -> block:int -> addr:int -> bytes:int -> 
     starting at [addr], touching each spanned cache line once (further
     words on an already-touched line hit by construction). *)
 
+val find_way : int array -> base:int -> ways:int -> int -> int
+(** [find_way tags ~base ~ways line] is the index [i < ways] of the first
+    slot with [tags.(base + i) = line], or -1.  The way search of every
+    associative kernel (and of the victim buffer in {!System}); with
+    [line = -1] it finds an invalid way.  Allocation-free. *)
+
 val probe : t -> addr:int -> bool
 (** Whether the line holding [addr] is currently resident (testing aid;
     does not update LRU or counters). *)

@@ -11,7 +11,10 @@
 
     Distances are binned with power-of-two edges, so {!misses_at} is
     exact at power-of-two capacities (others round down).  Maintained with a
-    Fenwick tree: O(log n) per reference. *)
+    Fenwick tree over a window of recent reference slots that is compacted
+    when it fills and kept at most about four times the distinct lines
+    seen: O(log live lines) amortized per reference, independent of the
+    trace length, and allocation-free once the window has grown. *)
 
 type t
 

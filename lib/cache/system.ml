@@ -9,7 +9,7 @@ type victim_state = {
   vsets : int;
   vline_shift : int;
   vcounters : Counters.t;
-  vevicted : (int, bool) Hashtbl.t;  (** line -> last evictor was OS. *)
+  vevicted : Evictors.t;  (** Last evictor per line, for miss kinds. *)
 }
 
 type kind =
@@ -43,7 +43,7 @@ let victim ~main ~entries =
           vsets = sets;
           vline_shift = shift main.Config.line 0;
           vcounters = Counters.create ();
-          vevicted = Hashtbl.create 4096;
+          vevicted = Evictors.create ();
         };
   }
 
@@ -60,39 +60,28 @@ let victim_park v ~os line =
   if line >= 0 then begin
     let n = Array.length v.vbuf in
     let lru = v.vbuf.(n - 1) in
-    if lru >= 0 then Hashtbl.replace v.vevicted lru os;
+    if lru >= 0 then Evictors.record v.vevicted lru ~os;
     Array.blit v.vbuf 0 v.vbuf 1 (n - 1);
     v.vbuf.(0) <- line
   end
 
 let victim_access_line v ~os line =
   let set = line land (v.vsets - 1) in
-  if v.vmain.(set) = line then ()
-  else begin
-    let n = Array.length v.vbuf in
-    let rec find i = if i = n then -1 else if v.vbuf.(i) = line then i else find (i + 1) in
-    match find 0 with
-    | i when i >= 0 ->
-        (* Victim hit: swap with the main cache's resident line. *)
-        let displaced = v.vmain.(set) in
-        v.vmain.(set) <- line;
-        Array.blit v.vbuf 0 v.vbuf 1 i;
-        v.vbuf.(0) <- displaced
-        (* displaced >= 0 always here: the set conflicted before. *)
-    | _ ->
-        let c = v.vcounters in
-        (match Hashtbl.find_opt v.vevicted line with
-        | None ->
-            if os then c.Counters.os_cold <- c.Counters.os_cold + 1
-            else c.Counters.app_cold <- c.Counters.app_cold + 1
-        | Some evictor_os ->
-            if os then
-              if evictor_os then c.Counters.os_self <- c.Counters.os_self + 1
-              else c.Counters.os_cross <- c.Counters.os_cross + 1
-            else if evictor_os then c.Counters.app_cross <- c.Counters.app_cross + 1
-            else c.Counters.app_self <- c.Counters.app_self + 1);
-        victim_park v ~os v.vmain.(set);
-        v.vmain.(set) <- line
+  if v.vmain.(set) <> line then begin
+    let i = Sim.find_way v.vbuf ~base:0 ~ways:(Array.length v.vbuf) line in
+    if i >= 0 then begin
+      (* Victim hit: swap with the main cache's resident line. *)
+      let displaced = v.vmain.(set) in
+      v.vmain.(set) <- line;
+      Array.blit v.vbuf 0 v.vbuf 1 i;
+      v.vbuf.(0) <- displaced
+      (* displaced >= 0 always here: the set conflicted before. *)
+    end
+    else begin
+      ignore (Evictors.classify v.vevicted v.vcounters ~os line : int);
+      victim_park v ~os v.vmain.(set);
+      v.vmain.(set) <- line
+    end
   end
 
 let victim_access v ~os ~addr ~bytes =
@@ -157,7 +146,7 @@ let reset t =
   | Victim v ->
       Array.fill v.vmain 0 (Array.length v.vmain) (-1);
       Array.fill v.vbuf 0 (Array.length v.vbuf) (-1);
-      Hashtbl.reset v.vevicted;
+      Evictors.clear v.vevicted;
       Counters.reset v.vcounters
   | Unified _ | Split _ | Reserved _ -> List.iter Sim.reset (sims t)
 

@@ -3,6 +3,7 @@ type t = {
   os_map : Address_map.t;
   app_maps : Address_map.t array;
   os_meta : Opt.result option;
+  mutable digest_memo : string;
 }
 
 let app_region_base = 1 lsl 24
@@ -71,6 +72,7 @@ let base ~model ~program =
     os_map = base_os model;
     app_maps = base_apps program;
     os_meta = None;
+    digest_memo = "";
   }
 
 (* The C-H OS placement depends only on (graph, profile) and is shared by
@@ -94,12 +96,19 @@ let chang_hwu ~model ~program ~os_profile =
     os_map = Ch_cache.find_or_build ~key (fun () -> Chang_hwu.layout g os_profile);
     app_maps = base_apps program;
     os_meta = None;
+    digest_memo = "";
   }
 
 let opt_with ~name ~extract_loops ~model ~program ~os_profile ~params =
   let params = { params with Opt.extract_loops } in
   let r = Opt.os_layout ~model ~profile:os_profile ~loops:(os_loops model) params in
-  { name; os_map = r.Opt.map; app_maps = base_apps program; os_meta = Some r }
+  {
+    name;
+    os_map = r.Opt.map;
+    app_maps = base_apps program;
+    os_meta = Some r;
+    digest_memo = "";
+  }
 
 let opt_s ~model ~program ~os_profile ?(params = Opt.params ()) () =
   opt_with ~name:"OptS" ~extract_loops:false ~model ~program ~os_profile ~params
@@ -120,9 +129,10 @@ let opt_a ~model ~program ~os_profile ~app_profiles ?(params = Opt.params ()) ()
         r.Opt.map)
       program.Program.apps
   in
-  { os with app_maps }
+  { os with app_maps; digest_memo = "" }
 
-let with_os_map t ~name os_map ~os_meta = { t with name; os_map; os_meta }
+let with_os_map t ~name os_map ~os_meta =
+  { t with name; os_map; os_meta; digest_memo = "" }
 
 let code_map t =
   let images = 1 + Array.length t.app_maps in
@@ -138,6 +148,19 @@ let code_map t =
     t.app_maps;
   { Replay.addr; bytes }
 
+(* Computed on first use and stored in the layout: building the code map,
+   marshalling and hashing it costs more than the per-member work that
+   keys on it.  Two domains racing here compute equal strings and either
+   store wins, so the plain field is safe where a [Lazy.t] forced from two
+   domains at once would raise. *)
 let digest t =
-  let m = code_map t in
-  Digest.to_hex (Digest.string (Marshal.to_string (m.Replay.addr, m.Replay.bytes) []))
+  if t.digest_memo <> "" then t.digest_memo
+  else begin
+    let m = code_map t in
+    let d =
+      Digest.to_hex
+        (Digest.string (Marshal.to_string (m.Replay.addr, m.Replay.bytes) []))
+    in
+    t.digest_memo <- d;
+    d
+  end

@@ -10,12 +10,16 @@
     - [opt_a]: [opt_s] for the OS plus optimized application layouts
       (sequences + loop extraction, placed from the opposite cache side). *)
 
-type t = {
+type t = private {
   name : string;
   os_map : Address_map.t;
   app_maps : Address_map.t array;
   os_meta : Opt.result option;  (** Sequence/SCF/loop metadata when built
                                     by the Opt machinery. *)
+  mutable digest_memo : string;
+      (** {!digest} once computed, [""] before.  Private so every layout
+          comes from a constructor here, none of which carries a stale
+          digest over. *)
 }
 
 val app_region_base : int
@@ -54,7 +58,9 @@ val digest : t -> string
     (the absolute {!code_map} addresses and block sizes, hex-encoded MD5).
     Two layouts with equal digests replay identically under every cache
     configuration, so the digest is a sound memoization key for simulation
-    results regardless of how or when the layout was built. *)
+    results regardless of how or when the layout was built.  Computed on
+    first call and kept in the layout, so later calls are a field read;
+    safe to call from several domains at once. *)
 
 val os_loops : Model.t -> Loops.t list
 (** Natural loops of the kernel graph ({!Layout_cache.loops} on the

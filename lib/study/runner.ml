@@ -12,6 +12,8 @@ let member_seconds_hist =
 let events_per_sec_hist =
   Metrics_registry.histogram ~unit_:"events/s" "simulate.pass_events_per_sec"
 
+(* [events] is the pass's exec-event count ({!Trace.exec_count}): replay
+   advances only on executions, so invocation markers are not work. *)
 let record_pass ~members ~events dt =
   for _ = 1 to members do
     Metrics_registry.observe member_seconds_hist
@@ -48,7 +50,7 @@ let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
           [
             ("workload", Json.String w.Workload.name);
             ("members", Json.Int 1);
-            ("events", Json.Int (Trace.length trace));
+            ("events", Json.Int (Trace.exec_count trace));
             ("domain", Json.Int (Domain.self () :> int));
           ]
       @@ fun () ->
@@ -60,7 +62,7 @@ let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
       let map = Program_layout.code_map layouts.(i) in
       Replay.run_range ~trace ~map ~systems:[| sys |]
         ~warmup:(warmup_of trace ~warmup_fraction);
-      record_pass ~members:1 ~events:(Trace.length trace)
+      record_pass ~members:1 ~events:(Trace.exec_count trace)
         (Unix.gettimeofday () -. t0);
       {
         counters = System.counters sys;
@@ -175,7 +177,7 @@ let simulate_batch ctx ~members ?(attribute_os = false)
                     [
                       ("workload", Json.String w.Workload.name);
                       ("members", Json.Int (Array.length group));
-                      ("events", Json.Int (Trace.length trace));
+                      ("events", Json.Int (Trace.exec_count trace));
                       ("domain", Json.Int (Domain.self () :> int));
                     ]
                 @@ fun () ->
@@ -195,7 +197,7 @@ let simulate_batch ctx ~members ?(attribute_os = false)
                 in
                 Replay.run_range ~trace ~map ~systems ~warmup;
                 record_pass ~members:(Array.length group)
-                  ~events:(Trace.length trace)
+                  ~events:(Trace.exec_count trace)
                   (Unix.gettimeofday () -. t0);
                 Array.map
                   (fun sys ->

@@ -82,8 +82,14 @@ let observe h v =
       if v < h.min_v then h.min_v <- v;
       if v > h.max_v then h.max_v <- v)
 
-let percentile h p =
-  Mutex.protect lock (fun () -> Histogram.percentile h.buckets p /. micro)
+(* Bucket interpolation can land past the exact extremes (a log2 bucket
+   spans up to twice its lower edge), so clamp to the recorded range.
+   Caller holds [lock]. *)
+let clamped_percentile h p =
+  if h.count = 0 then 0.0
+  else Float.min h.max_v (Float.max h.min_v (Histogram.percentile h.buckets p /. micro))
+
+let percentile h p = Mutex.protect lock (fun () -> clamped_percentile h p)
 
 let find_counter name =
   Mutex.protect lock (fun () ->
@@ -108,7 +114,7 @@ let to_json () =
     pick (function
       | n, Hist h ->
           let empty = h.count = 0 in
-          let pct p = Histogram.percentile h.buckets p /. micro in
+          let pct p = clamped_percentile h p in
           Some
             ( n,
               Json.Obj

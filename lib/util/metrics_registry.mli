@@ -20,7 +20,8 @@
     bucketed by binary magnitude through {!Histogram}, from which
     {!Histogram.percentile} answers p50/p90/p99 at export; exact count,
     sum, min and max are kept alongside, so means are exact and only the
-    percentiles are bucket-quantized.
+    percentiles are bucket-quantized (and clamped to [\[min, max\]], so
+    min <= p50 <= p90 <= p99 <= max always holds).
 
     JSON snapshot shape ({!to_json}):
     {v
@@ -61,7 +62,8 @@ val observe : histogram -> float -> unit
 
 val percentile : histogram -> float -> float
 (** Bucket-interpolated percentile in the histogram's own unit
-    (see {!Histogram.percentile}); [0.] when empty. *)
+    (see {!Histogram.percentile}), clamped to the exact [\[min, max\]] of
+    the observations; [0.] when empty. *)
 
 val find_counter : string -> int option
 (** The current value of a counter registered under [name], if any

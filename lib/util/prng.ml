@@ -1,18 +1,25 @@
-type t = { mutable state : int64 }
+(* The state lives unboxed in an 8-byte buffer: a [mutable state : int64]
+   field would box a fresh int64 on every draw, and Random-policy cache
+   replacement draws once per victim. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_le g 0 seed;
+  g
 
 let of_int seed = create (Int64.of_int seed)
 
-let copy g = { state = g.state }
+let copy g = Bytes.copy g
 
 (* SplitMix64 step: advance by the golden gamma, then mix (Stafford's
-   variant 13 finalizer). *)
-let next_int64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  let z = g.state in
+   variant 13 finalizer).  Inlined so callers in this module that convert
+   the result to an int keep every intermediate unboxed. *)
+let[@inline] next_int64 g =
+  let z = Int64.add (Bytes.get_int64_le g 0) golden_gamma in
+  Bytes.set_int64_le g 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

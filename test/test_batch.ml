@@ -112,6 +112,34 @@ let test_duplicates_are_copies () =
   check_bool "results are independent copies" true
     (batch.(1).(0).Runner.counters.Counters.os_self <> min_int)
 
+(* The replay_pass span's [events] arg (and the pass_events_per_sec
+   histogram fed alongside it) must count the work a pass does: replay
+   advances only on exec events, so invocation markers are excluded. *)
+let test_replay_pass_counts_exec_events () =
+  let ctx = Lazy.force small_context in
+  let layouts = Levels.build ctx Levels.Base in
+  let config = Config.make ~size_kb:8 () in
+  Sim_cache.clear ();
+  Trace_log.reset ();
+  Trace_log.set_enabled true;
+  ignore (Runner.simulate ctx ~layouts ~system:(fun () -> System.unified config) ());
+  ignore (Runner.simulate_batch ctx ~members:[| (layouts, config) |] ());
+  Trace_log.set_enabled false;
+  let exec = List.sort compare (Array.to_list (Array.map Trace.exec_count ctx.Context.traces)) in
+  let events =
+    List.filter_map
+      (fun (e : Trace_log.event) ->
+        if e.Trace_log.begin_ && e.Trace_log.name = "replay_pass" then
+          Option.bind (List.assoc_opt "events" e.Trace_log.args) Json.to_int
+        else None)
+      (Trace_log.events ())
+  in
+  Trace_log.reset ();
+  check_bool "markers present, so the counts differ" true
+    (Array.exists (fun t -> Trace.exec_count t < Trace.length t) ctx.Context.traces);
+  check_bool "one pass per workload per entry point, each counting exec events" true
+    (List.sort compare events = List.sort compare (exec @ exec))
+
 let () =
   Alcotest.run "batch"
     [
@@ -121,5 +149,6 @@ let () =
           qcheck prop_batch_serves_warm_entries;
           qcheck prop_direct_fast_path_matches_generic;
           case "duplicate members are deep copies" test_duplicates_are_copies;
+          case "replay_pass counts exec events" test_replay_pass_counts_exec_events;
         ] );
     ]

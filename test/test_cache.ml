@@ -404,6 +404,158 @@ let test_replay_warmup () =
   check_int "warmup discards all misses" 0 (Counters.misses (System.counters sys));
   check_int "and all refs" 0 (Counters.refs (System.counters sys))
 
+(* ------------------------------------------------------------------ *)
+(* Stack_dist against a naive LRU stack                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The obviously correct model: a move-to-front list of lines, where a
+   line's position is its stack distance.  Returns (refs, cold, misses at
+   capacity c). *)
+let naive_stack_dist ~line accesses =
+  let rec log2 v i = if v <= 1 then i else log2 (v lsr 1) (i + 1) in
+  let shift = log2 line 0 in
+  let stack = ref [] and refs = ref 0 and cold = ref 0 and dists = ref [] in
+  let touch l =
+    incr refs;
+    let rec index i = function
+      | [] -> -1
+      | x :: rest -> if x = l then i else index (i + 1) rest
+    in
+    let d = index 0 !stack in
+    if d < 0 then incr cold else dists := d :: !dists;
+    stack := l :: List.filter (fun x -> x <> l) !stack
+  in
+  List.iter
+    (fun (addr, bytes) ->
+      for l = addr lsr shift to (addr + max 1 bytes - 1) lsr shift do
+        touch l
+      done)
+    accesses;
+  let misses_at c = !cold + List.length (List.filter (fun d -> d >= c) !dists) in
+  (!refs, !cold, misses_at)
+
+let stack_dist_of ~line accesses =
+  let t = Stack_dist.create ~line () in
+  List.iter (fun (addr, bytes) -> Stack_dist.access t ~addr ~bytes) accesses;
+  t
+
+let print_accesses l =
+  Printf.sprintf "%d accesses: %s" (List.length l)
+    (String.concat " "
+       (List.map (fun (a, b) -> Printf.sprintf "%d+%d" a b)
+          (List.filteri (fun i _ -> i < 40) l)))
+
+(* Up to 20 k references over at most 300 lines: the slot window is
+   compacted every few hundred references, many times per stream.  Half
+   the draws come from a small hot set so short and long distances both
+   occur. *)
+let dense_stream =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 300 >>= fun k ->
+    int_range 1 20_000 >>= fun n ->
+    int_bound 100_000 >>= fun origin ->
+    list_repeat n
+      ( frequency [ (1, int_bound (min k 8 - 1)); (1, int_bound (k - 1)) ]
+      >>= fun i ->
+        int_range 1 8 >|= fun bytes -> (32 * (origin + i), bytes) )
+  in
+  QCheck.make ~print:print_accesses gen
+
+(* Sparse lines on both sides of page boundaries (pages hold 4096 lines)
+   and around the 16 MB application base and the next image's base, with
+   blocks up to three lines long. *)
+let sparse_stream =
+  let open QCheck.Gen in
+  let app_base = Program_layout.app_region_base / 32 in
+  let centres =
+    [ 4096; 2 * 4096; 7 * 4096; app_base; app_base + Program_layout.app_region_stride / 32 ]
+  in
+  let line = oneofl centres >>= fun c -> int_range (-3) 3 >|= fun o -> c + o in
+  let gen =
+    int_range 1 3_000 >>= fun n ->
+    list_repeat n
+      ( line >>= fun l ->
+        int_range 0 31 >>= fun off ->
+        int_range 1 96 >|= fun bytes -> ((32 * l) + off, bytes) )
+  in
+  QCheck.make ~print:print_accesses gen
+
+let matches_naive accesses =
+  let t = stack_dist_of ~line:32 accesses in
+  let refs, cold, misses_at = naive_stack_dist ~line:32 accesses in
+  Stack_dist.refs t = refs
+  && Stack_dist.cold t = cold
+  && List.for_all
+       (fun k -> Stack_dist.misses_at t ~lines:(1 lsl k) = misses_at (1 lsl k))
+       (List.init 14 Fun.id)
+
+let prop_stack_dist_dense =
+  QCheck.Test.make ~count:40 ~name:"Stack_dist = naive LRU stack (dense, compacting)"
+    dense_stream matches_naive
+
+let prop_stack_dist_sparse =
+  QCheck.Test.make ~count:100 ~name:"Stack_dist = naive LRU stack (page edges, app base)"
+    sparse_stream matches_naive
+
+(* Mattson: a one-set C-way LRU cache is fully associative, so with no
+   warm-up its misses are exactly the references at stack distance >= C. *)
+let prop_mattson_identity =
+  QCheck.Test.make ~count:100 ~name:"1-set C-way LRU Sim = Stack_dist.misses_at C"
+    QCheck.(
+      pair (int_bound 6)
+        (list_of_size Gen.(int_range 1 5_000) (pair (int_bound 299) (int_range 1 80))))
+    (fun (k, refs) ->
+      let c = 1 lsl k in
+      let accesses = List.map (fun (l, bytes) -> (32 * l, bytes)) refs in
+      let sim = Sim.create (Config.v ~size:(c * 32) ~assoc:c ~line:32) in
+      List.iter
+        (fun (addr, bytes) -> Sim.access sim ~os:true ~image:0 ~block:0 ~addr ~bytes)
+        accesses;
+      Counters.misses (Sim.counters sim)
+      = Stack_dist.misses_at (stack_dist_of ~line:32 accesses) ~lines:c)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every sweep replays through these kernels; a few minor words per event
+   means thousands of minor collections, each stopping every domain.
+   Systems and the code map are built before measuring, so only the
+   per-event path counts. *)
+let minor_words_per_event trace f =
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int (Trace.exec_count trace)
+
+let test_replay_allocation_free () =
+  let ctx = Lazy.force small_context in
+  let trace = ctx.Context.traces.(0) in
+  let map = Program_layout.code_map (Levels.build ctx Levels.Base).(0) in
+  let geometry assoc policy =
+    Config.with_policy (Config.v ~size:8192 ~assoc ~line:32) policy
+  in
+  let check name words =
+    check_bool (Printf.sprintf "%s: %.4f minor words/event < 0.05" name words) true
+      (words < 0.05)
+  in
+  List.iter
+    (fun (name, sys) ->
+      check name
+        (minor_words_per_event trace (fun () ->
+             Replay.run ~trace ~map ~systems:[| sys |])))
+    [
+      ("direct", System.unified (geometry 1 Config.Lru));
+      ("lru2", System.unified (geometry 2 Config.Lru));
+      ("lru4", System.unified (geometry 4 Config.Lru));
+      ("fifo4", System.unified (geometry 4 Config.Fifo));
+      ("random4", System.unified (geometry 4 (Config.Random 1)));
+      ("victim", System.victim ~main:(geometry 1 Config.Lru) ~entries:8);
+    ];
+  check "stack_dist"
+    (minor_words_per_event trace (fun () ->
+         ignore (Stack_dist.from_trace ~trace ~map () : Stack_dist.t)))
+
 let () =
   Alcotest.run "cache"
     [
@@ -451,5 +603,12 @@ let () =
           case "run" test_replay_run;
           case "multiple systems" test_replay_multiple_systems;
           case "warmup" test_replay_warmup;
+          case "allocation-free kernels" test_replay_allocation_free;
+        ] );
+      ( "mattson",
+        [
+          qcheck prop_stack_dist_dense;
+          qcheck prop_stack_dist_sparse;
+          qcheck prop_mattson_identity;
         ] );
     ]

@@ -348,6 +348,39 @@ let test_observe_clamps_negative () =
   let p = Metrics_registry.percentile h 0.5 in
   check_bool "negative clamps to 0" true (p >= 0.0 && p <= 1e-6)
 
+(* Percentiles come from log2 buckets, whose interpolation can overshoot
+   the exact extremes (a bucket spans up to twice its lower edge); the
+   exported values must still order min <= p50 <= p90 <= p99 <= max.
+   Observations span six decades so they land in many buckets. *)
+let prop_registry_percentiles_in_range =
+  let serial = ref 0 in
+  QCheck.Test.make ~count:200 ~name:"registry percentiles lie in [min, max]"
+    QCheck.(
+      list_of_size Gen.(int_range 1 40) (pair (float_bound_inclusive 1.0) (int_bound 6)))
+    (fun obs ->
+      incr serial;
+      let name = Printf.sprintf "test.pct_range_%d" !serial in
+      let h = Metrics_registry.histogram name in
+      List.iter
+        (fun (m, e) -> Metrics_registry.observe h (m *. (10.0 ** float_of_int (e - 3))))
+        obs;
+      let field k =
+        match
+          Option.bind
+            (Option.bind
+               (Json.member "histograms" (Metrics_registry.to_json ()))
+               (Json.member name))
+            (Json.member k)
+        with
+        | Some (Json.Float f) -> f
+        | _ -> Alcotest.failf "missing %s.%s" name k
+      in
+      let lo = field "min" and p50 = field "p50" and p90 = field "p90"
+      and p99 = field "p99" and hi = field "max" in
+      let direct = Metrics_registry.percentile h 0.99 in
+      lo <= p50 && p50 <= p90 && p90 <= p99 && p99 <= hi
+      && lo <= direct && direct <= hi)
+
 let () =
   Alcotest.run "trace_log"
     [
@@ -379,5 +412,6 @@ let () =
           case "get-or-create and kind clash" test_registry_get_or_create;
           case "json snapshot shape" test_registry_json_shape;
           case "negative observations clamp" test_observe_clamps_negative;
+          qcheck prop_registry_percentiles_in_range;
         ] );
     ]

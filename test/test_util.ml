@@ -34,6 +34,27 @@ let test_prng_split_independent () =
   done;
   check_bool "split stream differs" true !differs
 
+(* The SplitMix64 stream is part of every result (Random-policy victims,
+   the synthetic kernel, trace capture), so its exact values are pinned:
+   a representation change must leave them bit-identical. *)
+let test_prng_pinned_stream () =
+  let g = Prng.of_int 42 in
+  let got = List.init 16 (fun _ -> Prng.int g max_int) in
+  Alcotest.(check (list int))
+    "first 16 draws of of_int 42"
+    [
+      3419864383188818853; 737456523031723072; 1284820937115690964;
+      1587299515064563941; 175383196535490812; 4003995281415747265;
+      1007216178194406231; 3692262831746943977; 1567655219403120501;
+      2852245098062667243; 944942912856573551; 2273511335365284911;
+      2367621691557777849; 2398138063176555373; 3067506354810381239;
+      938178849217121532;
+    ]
+    got;
+  let g = Prng.of_int 42 in
+  Alcotest.(check int64) "raw first output" (-4767286540954276203L)
+    (Prng.next_int64 g)
+
 let test_prng_int_bounds () =
   let g = Prng.of_int 3 in
   for _ = 1 to 1000 do
@@ -421,6 +442,7 @@ let () =
           case "seed sensitivity" test_prng_seed_sensitivity;
           case "copy" test_prng_copy;
           case "split independence" test_prng_split_independent;
+          case "pinned stream" test_prng_pinned_stream;
           case "int bounds" test_prng_int_bounds;
           case "int invalid" test_prng_int_invalid;
           case "int_in" test_prng_int_in;
