@@ -1,4 +1,4 @@
-.PHONY: all build test check validate trace bench clean
+.PHONY: all build test check validate cli-errors trace bench clean
 
 all: build
 
@@ -15,6 +15,7 @@ check: build
 	ICACHE_JOBS=1 dune runtest --force
 	ICACHE_JOBS=4 dune runtest --force
 	$(MAKE) validate
+	$(MAKE) cli-errors
 
 # End-to-end check of the structured output path: run the full repro as
 # JSON and make sure every report parses back and the run manifest's
@@ -35,6 +36,19 @@ validate: build
 	  --trace _build/trace_j4.json \
 	  | _build/default/bin/icache_opt.exe validate
 	_build/default/bin/icache_opt.exe validate _build/trace_j4.json
+
+# Bad command-line input is a usage error (exit 124), never an uncaught
+# exception (125) or a silent success (0): invalid cache geometries and a
+# non-positive trace length are rejected before any work starts.
+cli-errors: build
+	@for args in "simulate --size-kb 3" "simulate --assoc 3" \
+	  "simulate --line 4096 --size-kb 1" "simulate --line 2" "simulate --words 0" \
+	  "sweep --sizes 3" "sweep --lines 2" "sweep --words 0"; do \
+	  status=0; _build/default/bin/icache_opt.exe $$args --small >/dev/null 2>&1 || status=$$?; \
+	  if [ $$status -ne 124 ]; then \
+	    echo "cli-errors: icache-opt $$args exited $$status, expected 124"; exit 1; \
+	  fi; \
+	done; echo "cli-errors: ok"
 
 # Capture a span timeline of the small repro and print its hot spans.
 # The Chrome-format trace lands in _build/trace.json: load it in

@@ -9,9 +9,25 @@
 
 open Cmdliner
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let words_arg =
   let doc = "Instruction words to trace per workload." in
-  Arg.(value & opt int 2_000_000 & info [ "words" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 2_000_000 & info [ "words" ] ~docv:"N" ~doc)
+
+(* Cache geometry flags are checked together, by the library's own
+   validation, before any work starts: a bad combination is a usage
+   error (exit 124), not an uncaught exception. *)
+let geometry size_kb assoc line =
+  Stdlib.Result.map_error
+    (fun e -> `Msg (Printf.sprintf "cache %dKB/%dway/%dB: %s" size_kb assoc line e))
+    (Config.check ~size:(size_kb * 1024) ~assoc ~line)
 
 let seed_arg =
   let doc = "Engine seed (the kernel itself is always built from the spec seed)." in
@@ -272,14 +288,16 @@ let simulate_cmd =
     let doc = "Line size in bytes (power of two)." in
     Arg.(value & opt int 32 & info [ "line" ] ~docv:"BYTES" ~doc)
   in
-  let run words seed small jobs w level size_kb assoc line =
+  let config_arg =
+    Term.(cli_parse_result (const geometry $ size_arg $ assoc_arg $ line_arg))
+  in
+  let run words seed small jobs w level config =
     let ctx = make_context ~small ~words ~seed ~jobs in
     if w < 0 || w >= Context.workload_count ctx then begin
       Printf.eprintf "workload index out of range\n";
       exit 1
     end;
     let layouts = Levels.build ctx level in
-    let config = Config.v ~size:(size_kb * 1024) ~assoc ~line in
     let runs =
       Runner.simulate ctx ~layouts
         ~system:(fun () -> System.unified config)
@@ -301,7 +319,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Simulate one workload / layout / cache combination")
     Term.(
       const run $ words_arg $ seed_arg $ small_arg $ jobs_arg $ workload_arg
-      $ level_arg $ size_arg $ assoc_arg $ line_arg)
+      $ level_arg $ config_arg)
 
 (* ------------------------------------------------------------------ *)
 (* layout                                                             *)
@@ -392,6 +410,30 @@ let sweep_cmd =
   let sizes_arg = list_arg "sizes" [ 4; 8; 16; 32 ] "Cache sizes in KB." in
   let assocs_arg = list_arg "assocs" [ 1 ] "Associativities." in
   let lines_arg = list_arg "lines" [ 32 ] "Line sizes in bytes." in
+  (* Every (size, assoc, line) cell, sizes-major; the first invalid one
+     is the error. *)
+  let geometries sizes assocs lines =
+    let cells =
+      List.concat_map
+        (fun size_kb ->
+          List.concat_map
+            (fun assoc ->
+              List.map
+                (fun line ->
+                  Stdlib.Result.map
+                    (fun c -> (size_kb, assoc, line, c))
+                    (geometry size_kb assoc line))
+                lines)
+            assocs)
+        sizes
+    in
+    match List.find_opt Stdlib.Result.is_error cells with
+    | Some (Error e) -> Error e
+    | _ -> Ok (List.map Stdlib.Result.get_ok cells)
+  in
+  let geometries_arg =
+    Term.(cli_parse_result (const geometries $ sizes_arg $ assocs_arg $ lines_arg))
+  in
   let levels_arg =
     let doc = "Layout levels (base, ch, opts, optl, opta)." in
     Arg.(
@@ -407,7 +449,7 @@ let sweep_cmd =
     let doc = "Output file ('-' = stdout)." in
     Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let run words seed small jobs sizes assocs lines levels format out trace =
+  let run words seed small jobs geometries levels format out trace =
     start_trace trace;
     let ctx = make_context ~small ~words ~seed ~jobs in
     let columns =
@@ -426,17 +468,10 @@ let sweep_cmd =
       List.concat_map
         (fun level ->
           let layouts = Levels.build ctx level in
-          List.concat_map
-            (fun size_kb ->
-              List.concat_map
-                (fun assoc ->
-                  List.map
-                    (fun line ->
-                      let config = Config.v ~size:(size_kb * 1024) ~assoc ~line in
-                      (level, size_kb, assoc, line, (layouts, config)))
-                    lines)
-                assocs)
-            sizes)
+          List.map
+            (fun (size_kb, assoc, line, config) ->
+              (level, size_kb, assoc, line, (layouts, config)))
+            geometries)
         levels
     in
     let batch =
@@ -481,8 +516,8 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Cross-product cache/layout sweep, one CSV row per cell")
     Term.(
-      const run $ words_arg $ seed_arg $ small_arg $ jobs_arg $ sizes_arg
-      $ assocs_arg $ lines_arg $ levels_arg $ format_arg $ out_arg $ trace_arg)
+      const run $ words_arg $ seed_arg $ small_arg $ jobs_arg $ geometries_arg
+      $ levels_arg $ format_arg $ out_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                            *)
@@ -705,6 +740,17 @@ let validate_cmd =
         | None -> fail "metrics counter %s: not an integer" n)
       counters;
     let value n = Option.bind (List.assoc_opt n counters) Json.to_int in
+    (* Any counter named X.hits, X.misses or X.lookups makes X a lookup
+       trio (Sim_cache, every Layout_cache stage): all three must exist
+       and X.hits + X.misses = X.lookups. *)
+    let trio_prefix n =
+      List.find_map
+        (fun suffix ->
+          if String.ends_with ~suffix n then
+            Some (String.sub n 0 (String.length n - String.length suffix))
+          else None)
+        [ ".hits"; ".misses"; ".lookups" ]
+    in
     List.iter
       (fun prefix ->
         match
@@ -715,9 +761,8 @@ let validate_cmd =
         | Some h, Some m, Some l ->
             if h + m <> l then
               fail "metrics: %s hits %d + misses %d <> lookups %d" prefix h m l
-        | None, None, None -> ()
         | _ -> fail "metrics: incomplete %s hits/misses/lookups trio" prefix)
-      [ "sim_cache"; "layout_cache" ];
+      (List.sort_uniq compare (List.filter_map (fun (n, _) -> trio_prefix n) counters));
     match Json.member "histograms" mx with
     | Some (Json.Obj hs) ->
         List.iter

@@ -4,11 +4,19 @@ type t = { size : int; assoc : int; line : int; policy : policy }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let v ~size ~assoc ~line =
+let check ~size ~assoc ~line =
   if not (is_pow2 size && is_pow2 assoc && is_pow2 line) then
-    invalid_arg "Config: size, assoc and line must be powers of two";
-  if line * assoc > size then invalid_arg "Config: size < line * assoc";
-  { size; assoc; line; policy = Lru }
+    Error "size, assoc and line must be powers of two"
+  else if line < Block.word_bytes then
+    Error (Printf.sprintf "line %dB is smaller than one %d-byte instruction word" line
+             Block.word_bytes)
+  else if line * assoc > size then Error "size < line * assoc"
+  else Ok { size; assoc; line; policy = Lru }
+
+let v ~size ~assoc ~line =
+  match check ~size ~assoc ~line with
+  | Ok t -> t
+  | Error e -> invalid_arg ("Config: " ^ e)
 
 let with_policy t policy = { t with policy }
 

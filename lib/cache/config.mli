@@ -19,8 +19,13 @@ val make : size_kb:int -> ?assoc:int -> ?line:int -> ?policy:policy -> unit -> t
     @raise Invalid_argument on non-power-of-two or inconsistent
     geometry. *)
 
+val check : size:int -> assoc:int -> line:int -> (t, string) result
+(** Raw constructor, LRU replacement: [Error] unless size, associativity
+    and line are powers of two, a line holds at least one instruction
+    word ({!Block.word_bytes}) and [line * assoc <= size]. *)
+
 val v : size:int -> assoc:int -> line:int -> t
-(** Raw constructor with the same validation; LRU replacement. *)
+(** {!check}, raising [Invalid_argument] on an invalid geometry. *)
 
 val with_policy : t -> policy -> t
 

@@ -1,27 +1,23 @@
 type stats = { hits : int; misses : int; seconds : float }
 
-type counters = {
+(* A registered stage: its registry handles, which are the only store of
+   its counts and build time, and how to drop its memo table. *)
+type stage = {
   name : string;
-  mutable hits : int;
-  mutable misses : int;
-  mutable seconds : float;
+  hit_c : Metrics_registry.counter;
+  miss_c : Metrics_registry.counter;
+  lookup_c : Metrics_registry.counter;
+  build_h : Metrics_registry.histogram;
+  clear_table : unit -> unit;
 }
 
 (* One lock for every table in the module: stage lookups are O(1) hash
    probes and digest memos are short physical-identity scans, so a single
-   lock is never contended for long and keeps the invariants (registry
-   order, counter consistency) trivial. Builds run OUTSIDE the lock. *)
+   lock is never contended for long and keeps the registration order
+   trivial. Builds run OUTSIDE the lock. *)
 let lock = Mutex.create ()
 let enabled_flag = ref true
-let registry : counters list ref = ref [] (* reverse registration order *)
-let clearers : (unit -> unit) list ref = ref []
-
-(* Aggregate lookup counters mirrored into the metrics registry (summed
-   over every stage), so the manifest metrics snapshot and `icache-opt
-   validate` can check hits + misses = lookups without this module. *)
-let m_hits = Metrics_registry.counter "layout_cache.hits"
-let m_misses = Metrics_registry.counter "layout_cache.misses"
-let m_lookups = Metrics_registry.counter "layout_cache.lookups"
+let stages : stage list ref = ref [] (* reverse registration order *)
 
 let set_enabled b = enabled_flag := b
 
@@ -95,36 +91,35 @@ end
 module Stage (S : STAGE) = struct
   let table : (string, S.value) Hashtbl.t = Hashtbl.create 64
 
-  let c =
-    Mutex.protect lock (fun () ->
-        let c = { name = S.name; hits = 0; misses = 0; seconds = 0.0 } in
-        registry := c :: !registry;
-        clearers := (fun () -> Hashtbl.reset table) :: !clearers;
-        c)
+  let st =
+    let metric suffix = "layout_cache." ^ S.name ^ "." ^ suffix in
+    let st =
+      {
+        name = S.name;
+        hit_c = Metrics_registry.counter (metric "hits");
+        miss_c = Metrics_registry.counter (metric "misses");
+        lookup_c = Metrics_registry.counter (metric "lookups");
+        build_h = Metrics_registry.histogram (metric "build_seconds");
+        clear_table = (fun () -> Hashtbl.reset table);
+      }
+    in
+    Mutex.protect lock (fun () -> stages := st :: !stages);
+    st
 
   let find_or_build ~key f =
     if not !enabled_flag then f ()
     else begin
-      Metrics_registry.incr m_lookups;
-      match
-        Mutex.protect lock (fun () ->
-            match Hashtbl.find_opt table key with
-            | Some v ->
-                c.hits <- c.hits + 1;
-                Some v
-            | None -> None)
-      with
+      Metrics_registry.incr st.lookup_c;
+      match Mutex.protect lock (fun () -> Hashtbl.find_opt table key) with
       | Some v ->
-          Metrics_registry.incr m_hits;
+          Metrics_registry.incr st.hit_c;
           v
       | None ->
-          Metrics_registry.incr m_misses;
+          Metrics_registry.incr st.miss_c;
           let t0 = Unix.gettimeofday () in
           let v = f () in
-          let dt = Unix.gettimeofday () -. t0 in
+          Metrics_registry.observe st.build_h (Unix.gettimeofday () -. t0);
           Mutex.protect lock (fun () ->
-              c.misses <- c.misses + 1;
-              c.seconds <- c.seconds +. dt;
               match Hashtbl.find_opt table key with
               | Some v' -> v' (* racing build: everyone shares the stored value *)
               | None ->
@@ -138,40 +133,29 @@ end
 (* ------------------------------------------------------------------ *)
 
 let stage_stats () =
-  Mutex.protect lock (fun () ->
-      List.rev_map
-        (fun c -> (c.name, { hits = c.hits; misses = c.misses; seconds = c.seconds }))
-        !registry)
+  List.rev_map
+    (fun st ->
+      ( st.name,
+        {
+          hits = Metrics_registry.counter_value st.hit_c;
+          misses = Metrics_registry.counter_value st.miss_c;
+          seconds = Metrics_registry.sum st.build_h;
+        } ))
+    (Mutex.protect lock (fun () -> !stages))
 
 let totals () =
-  Mutex.protect lock (fun () ->
-      List.fold_left
-        (fun (acc : stats) c ->
-          {
-            hits = acc.hits + c.hits;
-            misses = acc.misses + c.misses;
-            seconds = acc.seconds +. c.seconds;
-          })
-        { hits = 0; misses = 0; seconds = 0.0 }
-        !registry)
-
-let reset_stats () =
-  Mutex.protect lock (fun () ->
-      List.iter
-        (fun c ->
-          c.hits <- 0;
-          c.misses <- 0;
-          c.seconds <- 0.0)
-        !registry)
+  List.fold_left
+    (fun acc (_, s) ->
+      {
+        hits = acc.hits + s.hits;
+        misses = acc.misses + s.misses;
+        seconds = acc.seconds +. s.seconds;
+      })
+    { hits = 0; misses = 0; seconds = 0.0 }
+    (stage_stats ())
 
 let clear () =
   Mutex.protect lock (fun () ->
-      List.iter (fun f -> f ()) !clearers;
+      List.iter (fun st -> st.clear_table ()) !stages;
       graph_digests := [];
-      loops_tbl := [];
-      List.iter
-        (fun c ->
-          c.hits <- 0;
-          c.misses <- 0;
-          c.seconds <- 0.0)
-        !registry)
+      loops_tbl := [])

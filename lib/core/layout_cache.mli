@@ -18,11 +18,16 @@
     used to be rebuilt per workload despite identical inputs.
 
     Each stage memoizes in a process-global, mutex-guarded table keyed on
-    a digest of exactly the inputs that stage consumes, with hit/miss
-    counters and build-time accounting surfaced in the run manifest
-    (schema v3).  Like {!Sim_cache}, racing builders may construct the
-    same value twice; the first store wins and both callers observe the
-    stored value, so results are independent of domain scheduling.
+    a digest of exactly the inputs that stage consumes.  Like
+    {!Sim_cache}, racing builders may construct the same value twice; the
+    first store wins and both callers observe the stored value, so
+    results are independent of domain scheduling.
+
+    A stage's counts live only in {!Metrics_registry}: the counters
+    [layout_cache.<stage>.hits], [.misses] and [.lookups] and the
+    histogram [layout_cache.<stage>.build_seconds].  They are
+    whole-process totals, surfaced in the run manifest's [layout]
+    object; {!clear} drops cached values but never rewinds them.
 
     The module also owns natural-loop detection for {e both} OS and
     application graphs ({!loops}), replacing the unsynchronized global
@@ -61,9 +66,8 @@ end
 module Stage (S : STAGE) : sig
   val find_or_build : key:string -> (unit -> S.value) -> S.value
 end
-(** A named memo table registered with the module-wide statistics
-    registry.  Instantiate once per stage (at module initialization, not
-    per call). *)
+(** A named memo table with its registry counters.  Instantiate once per
+    stage (at module initialization, not per call). *)
 
 val set_enabled : bool -> unit
 (** Test hook: [set_enabled false] turns every stage into a pass-through
@@ -73,13 +77,11 @@ val set_enabled : bool -> unit
 val enabled : unit -> bool
 
 val stage_stats : unit -> (string * stats) list
-(** Per-stage counters in stage registration order. *)
+(** Per-stage registry counters in stage registration order. *)
 
 val totals : unit -> stats
-
-val reset_stats : unit -> unit
-(** Zero the counters, keep the cached values. *)
+(** Sum of {!stage_stats}. *)
 
 val clear : unit -> unit
-(** Drop every cached value (including memoized loops and digests) and
-    zero the counters. *)
+(** Drop every cached value (including memoized loops and digests); the
+    counters keep counting. *)

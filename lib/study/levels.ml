@@ -84,10 +84,9 @@ let build ctx ?(params = Opt.params ()) level =
   | Some layouts -> layouts
   | None ->
       let layouts =
-        Manifest.time "levels_build" (fun () ->
-            Trace_log.with_span "levels_build"
-              ~args:[ ("level", Json.String (to_string level)) ]
-              (fun () -> build_uncached ctx ~params level))
+        Trace_log.with_span "levels_build"
+          ~args:[ ("level", Json.String (to_string level)) ]
+          (fun () -> build_uncached ctx ~params level)
       in
       Mutex.protect memo_lock (fun () ->
           if not (Hashtbl.mem memo key) then Hashtbl.add memo key layouts);

@@ -7,55 +7,9 @@ type run = {
   context_key : string;
 }
 
-type stage = { mutable count : int; mutable seconds : float }
-
-(* Aggregate effectiveness of Runner.simulate_batch: how many sweep
-   members rode a shared replay pass instead of walking the trace alone.
-   "Passes" and "events" count (workload x member) replay work; saved =
-   what the per-config sequential path would have done minus what the
-   fused path actually did. *)
-type batch = {
-  mutable calls : int;
-  mutable members : int;
-  mutable cache_hits : int;
-  mutable simulated : int;
-  mutable replay_passes : int;
-  mutable passes_saved : int;
-  mutable events_replayed : int;
-  mutable events_saved : int;
-}
-
 let lock = Mutex.create ()
 let run_info : run option ref = ref None
-let stages : (string, stage) Hashtbl.t = Hashtbl.create 8
-let stage_order : string list ref = ref [] (* reverse first-seen order *)
 let experiments : (string * float) list ref = ref [] (* reverse order *)
-
-let batch_stats =
-  {
-    calls = 0;
-    members = 0;
-    cache_hits = 0;
-    simulated = 0;
-    replay_passes = 0;
-    passes_saved = 0;
-    events_replayed = 0;
-    events_saved = 0;
-  }
-
-let record_stage name seconds =
-  Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt stages name with
-      | Some s ->
-          s.count <- s.count + 1;
-          s.seconds <- s.seconds +. seconds
-      | None ->
-          Hashtbl.add stages name { count = 1; seconds };
-          stage_order := name :: !stage_order)
-
-let time name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> record_stage name (Unix.gettimeofday () -. t0)) f
 
 let set_run ~spec_seed ~spec_digest ~words ~seed ~jobs ~context_key =
   Mutex.protect lock (fun () ->
@@ -66,32 +20,47 @@ let set_run ~spec_seed ~spec_digest ~words ~seed ~jobs ~context_key =
 let record_experiment ~id ~seconds =
   Mutex.protect lock (fun () -> experiments := (id, seconds) :: !experiments)
 
-let record_batch ~members ~cache_hits ~simulated ~replay_passes ~passes_saved
-    ~events_replayed ~events_saved =
-  Mutex.protect lock (fun () ->
-      let b = batch_stats in
-      b.calls <- b.calls + 1;
-      b.members <- b.members + members;
-      b.cache_hits <- b.cache_hits + cache_hits;
-      b.simulated <- b.simulated + simulated;
-      b.replay_passes <- b.replay_passes + replay_passes;
-      b.passes_saved <- b.passes_saved + passes_saved;
-      b.events_replayed <- b.events_replayed + events_replayed;
-      b.events_saved <- b.events_saved + events_saved)
+let span_prefix = "span."
+
+let batch_fields =
+  [
+    "calls"; "members"; "cache_hits"; "simulated"; "replay_passes";
+    "passes_saved"; "events_replayed"; "events_saved";
+  ]
 
 let to_json () =
-  let run, stage_rows, experiment_rows, batch =
-    Mutex.protect lock (fun () ->
-        ( !run_info,
-          List.rev_map
-            (fun name ->
-              let s = Hashtbl.find stages name in
-              (name, s.count, s.seconds))
-            !stage_order,
-          List.rev !experiments,
-          { batch_stats with calls = batch_stats.calls } ))
+  let run, experiment_rows =
+    Mutex.protect lock (fun () -> (!run_info, List.rev !experiments))
   in
-  (* Sample the caches outside the manifest lock: each has its own. *)
+  (* One registry snapshot feeds the stages and batch objects and is
+     embedded whole under "metrics", so they cannot disagree. *)
+  let metrics = Metrics_registry.to_json () in
+  let section name =
+    match Json.member name metrics with Some (Json.Obj kvs) -> kvs | _ -> []
+  in
+  let stage_rows =
+    let skip = String.length span_prefix in
+    List.filter_map
+      (fun (name, h) ->
+        match (Json.member "count" h, Json.member "sum" h) with
+        | Some (Json.Int count), Some seconds
+          when count > 0 && String.starts_with ~prefix:span_prefix name ->
+            Some
+              (Json.Obj
+                 [
+                   ( "name",
+                     Json.String (String.sub name skip (String.length name - skip)) );
+                   ("count", Json.Int count);
+                   ("seconds", seconds);
+                 ])
+        | _ -> None)
+      (section "histograms")
+  in
+  let batch_counter field =
+    match List.assoc_opt ("batch." ^ field) (section "counters") with
+    | Some (Json.Int n) -> n
+    | _ -> 0
+  in
   let hits = Sim_cache.hits () and misses = Sim_cache.misses () in
   let layout_stages = Layout_cache.stage_stats () in
   let layout_totals = Layout_cache.totals () in
@@ -134,17 +103,7 @@ let to_json () =
                 ("context_key", Json.String r.context_key);
                 ("gc", gc_json);
               ] );
-      ( "stages",
-        Json.List
-          (List.map
-             (fun (name, count, seconds) ->
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ("count", Json.Int count);
-                   ("seconds", Json.Float seconds);
-                 ])
-             stage_rows) );
+      ("stages", Json.List stage_rows);
       ( "sim_cache",
         Json.Obj
           [
@@ -174,37 +133,12 @@ let to_json () =
           ] );
       ( "batch",
         Json.Obj
-          [
-            ("calls", Json.Int batch.calls);
-            ("members", Json.Int batch.members);
-            ("cache_hits", Json.Int batch.cache_hits);
-            ("simulated", Json.Int batch.simulated);
-            ("replay_passes", Json.Int batch.replay_passes);
-            ("passes_saved", Json.Int batch.passes_saved);
-            ("events_replayed", Json.Int batch.events_replayed);
-            ("events_saved", Json.Int batch.events_saved);
-          ] );
+          (List.map (fun f -> (f, Json.Int (batch_counter f))) batch_fields) );
       ( "experiments",
         Json.List
           (List.map
              (fun (id, seconds) ->
                Json.Obj [ ("id", Json.String id); ("seconds", Json.Float seconds) ])
              experiment_rows) );
-      ("metrics", Metrics_registry.to_json ());
+      ("metrics", metrics);
     ]
-
-let reset () =
-  Mutex.protect lock (fun () ->
-      run_info := None;
-      Hashtbl.reset stages;
-      stage_order := [];
-      experiments := [];
-      let b = batch_stats in
-      b.calls <- 0;
-      b.members <- 0;
-      b.cache_hits <- 0;
-      b.simulated <- 0;
-      b.replay_passes <- 0;
-      b.passes_saved <- 0;
-      b.events_replayed <- 0;
-      b.events_saved <- 0)

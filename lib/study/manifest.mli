@@ -1,14 +1,23 @@
-(** Run manifest: the observability layer of a reproduction run.
+(** Run manifest: a read-only view of what a reproduction run did.
 
-    A process-global, domain-safe recorder of where the wall-clock time of
-    a run went and what it was a run {e of}.  The pipeline's hot stages
-    report here ({!Context.create} times trace capture, {!Levels.build}
-    times layout construction on memo misses, {!Runner.simulate} times
-    trace replay), the experiment drivers report per-experiment totals,
-    and {!Sim_cache}'s hit/miss counters are sampled at emission time.
-    [icache-opt repro --format json] and the bench harness emit the
-    manifest as JSON so the perf trajectory is recorded run over run
-    instead of scraped from ad-hoc prints.
+    {!Metrics_registry} is the run's only store of timings and counters;
+    the manifest adds the run's identity and per-experiment totals and
+    reads everything else back from one registry snapshot at emission
+    time:
+    - [stages]: one row per {!Trace_log.with_span} name, from the exact
+      count and sum of its [span.<name>] histogram, in name order.  The
+      pipeline's top-level spans are [trace_capture] ({!Context.create}),
+      [levels_build] ({!Levels.build} on memo misses) and [simulate]
+      (each replay of {!Runner.simulate} and {!Runner.simulate_batch}).
+      Spans are timed whether or not the timeline is recorded;
+    - [sim_cache]: the [sim_cache.*] counters ({!Sim_cache});
+    - [layout]: the per-stage [layout_cache.<stage>.*] counters and
+      build-time histograms ({!Layout_cache.stage_stats});
+    - [batch]: the [batch.*] counters that {!Runner.simulate_batch} bumps.
+
+    All counts are whole-process totals.  [icache-opt repro --format
+    json] and the bench harness emit the manifest as JSON so the perf
+    trajectory is recorded run over run.
 
     JSON schema (see DESIGN.md for a worked example):
     {v
@@ -34,36 +43,18 @@
       "metrics": { "counters": {..}, "gauges": {..}, "histograms": {..} } }
     v}
 
-    Schema v4 additions: [run.gc] samples [Gc.quick_stat] at emission time
-    so allocation pressure is part of the perf trajectory, and [metrics]
-    embeds the whole {!Metrics_registry} snapshot (cache lookup counters,
-    replay-time histograms, parallel fan-out statistics — see
-    {!Metrics_registry.to_json} for the shape).
-
-    The [batch] object aggregates {!Runner.simulate_batch} effectiveness:
-    how many sweep members were requested, how many were served from
-    {!Sim_cache}, how many were actually simulated, and how many
-    (workload x member) replay passes / decoded trace events the fused
-    path spent versus what per-member sequential replay would have cost.
-
-    The [layout] object (schema v3) samples {!Layout_cache}: one entry
-    per construction stage of the staged layout pipeline (sequences, SCF
-    selection, the loop-statistics pass, placement, and the shared C-H
-    OS placement), with per-stage hit/miss/lookup counters and the
-    wall-clock spent building values on misses.
+    [run.gc] samples [Gc.quick_stat] at emission time, and [metrics]
+    embeds the registry snapshot the other objects were read from (see
+    {!Metrics_registry.to_json} for its shape).  The [batch] object
+    counts sweep members requested, served from {!Sim_cache} and
+    simulated, and the (workload x member) replay passes and exec events
+    the fused path spent versus what per-member replay would have cost.
 
     Invariants (checked by [icache-opt validate] and the test suite):
     every [seconds] and every [count] is non-negative,
     [sim_cache.hits + sim_cache.misses = sim_cache.lookups], each layout
     stage's [hits + misses = lookups], and
     [batch.cache_hits + batch.simulated <= batch.members]. *)
-
-val time : string -> (unit -> 'a) -> 'a
-(** [time stage f] runs [f], adding its wall-clock duration (and one
-    invocation) to the per-stage aggregate for [stage]. *)
-
-val record_stage : string -> float -> unit
-(** Add [seconds] of one invocation to [stage]'s aggregate directly. *)
 
 val set_run :
   spec_seed:int ->
@@ -80,20 +71,5 @@ val set_run :
 val record_experiment : id:string -> seconds:float -> unit
 (** Append one experiment's wall-clock total (in completion order). *)
 
-val record_batch :
-  members:int ->
-  cache_hits:int ->
-  simulated:int ->
-  replay_passes:int ->
-  passes_saved:int ->
-  events_replayed:int ->
-  events_saved:int ->
-  unit
-(** Fold one {!Runner.simulate_batch} call into the aggregate batch
-    statistics (and count the call itself). *)
-
 val to_json : unit -> Json.t
-(** Snapshot the manifest, sampling {!Sim_cache} counters now. *)
-
-val reset : unit -> unit
-(** Clear stages, experiments and the run identity (tests). *)
+(** Snapshot the manifest from the registry now. *)

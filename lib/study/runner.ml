@@ -38,7 +38,6 @@ let simulate (ctx : Context.t) ~layouts ~system ?(attribute_os = false)
   (* Each workload's replay is independent: a fresh System.t per slot, the
      shared trace/layout data is immutable, and results merge by index —
      so the output is bit-identical for every job count. *)
-  Manifest.time "simulate" @@ fun () ->
   Trace_log.with_span "simulate"
     ~args:[ ("workloads", Json.Int (Array.length ctx.Context.pairs)) ]
   @@ fun () ->
@@ -156,8 +155,7 @@ let simulate_batch ctx ~members ?(attribute_os = false)
       (* One pass per (workload, layout group); workloads fan out across
          domains exactly like [simulate], merging by index. *)
       let per_workload =
-        Manifest.time "simulate" @@ fun () ->
-        Trace_log.with_span "simulate_batch"
+        Trace_log.with_span "simulate"
           ~args:
             [
               ("members", Json.Int n);
@@ -240,17 +238,30 @@ let simulate_batch ctx ~members ?(attribute_os = false)
     let cache_hits =
       Array.fold_left (fun acc c -> if c = None then acc else acc + 1) 0 cached
     in
-    let simulated = Array.length reps in
-    let group_count = Array.length groups in
-    let workloads = Array.length ctx.Context.pairs in
-    let total_events =
-      Array.fold_left (fun acc t -> acc + Trace.length t) 0 ctx.Context.traces
+    (* Effectiveness, summed over calls into the batch.* counters: the
+       (workload x layout group) replay passes and exec events the fused
+       path spent, and what per-member replay would have spent on top
+       ("saved").  Replay advances only on exec events, so invocation
+       markers are not replay work. *)
+    let exec_events =
+      Array.fold_left (fun acc t -> acc + Trace.exec_count t) 0 ctx.Context.traces
     in
-    Manifest.record_batch ~members:n ~cache_hits ~simulated
-      ~replay_passes:(group_count * workloads)
-      ~passes_saved:((simulated - group_count) * workloads)
-      ~events_replayed:(group_count * total_events)
-      ~events_saved:((simulated - group_count) * total_events)
+    let workloads = Array.length ctx.Context.pairs in
+    let passes = Array.length groups in
+    let saved = Array.length reps - passes in
+    List.iter
+      (fun (field, by) ->
+        Metrics_registry.incr ~by (Metrics_registry.counter ("batch." ^ field)))
+      [
+        ("calls", 1);
+        ("members", n);
+        ("cache_hits", cache_hits);
+        ("simulated", Array.length reps);
+        ("replay_passes", passes * workloads);
+        ("passes_saved", saved * workloads);
+        ("events_replayed", passes * exec_events);
+        ("events_saved", saved * exec_events);
+      ]
   end;
   results
 

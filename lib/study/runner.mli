@@ -50,8 +50,9 @@ val simulate_batch :
     Every member consults {!Sim_cache} first (hits skip replay entirely)
     and every simulated member is published to it, so batched and
     per-config call sites share one memo.  Effectiveness (members served
-    from cache, replay passes and decoded events saved) is recorded via
-    {!Manifest.record_batch}. *)
+    from cache, replay passes and exec events saved) is counted in the
+    [batch.*] registry counters, which the run manifest's [batch] object
+    reads back. *)
 
 val total : run array -> Counters.t
 (** Sum of all workloads' counters. *)

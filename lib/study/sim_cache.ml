@@ -19,12 +19,10 @@ let key ~context ~layouts ~config ~warmup_fraction ~attribute_os =
 
 let table : (string, entry array) Hashtbl.t = Hashtbl.create 64
 let lock = Mutex.create ()
-let hit_count = ref 0
-let miss_count = ref 0
 
-(* Mirrored into the metrics registry so the manifest's metrics snapshot
-   (and `icache-opt validate`'s hits + misses = lookups check) sees them
-   without reaching into this module. *)
+(* The registry is the only store of the lookup counts: the manifest's
+   metrics snapshot and [icache-opt validate]'s hits + misses = lookups
+   check read the same counters as {!hits} and {!misses}. *)
 let m_hits = Metrics_registry.counter "sim_cache.hits"
 let m_misses = Metrics_registry.counter "sim_cache.misses"
 let m_lookups = Metrics_registry.counter "sim_cache.lookups"
@@ -40,11 +38,9 @@ let find k =
   Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table k with
       | Some entries ->
-          incr hit_count;
           Metrics_registry.incr m_hits;
           Some (Array.map copy_entry entries)
       | None ->
-          incr miss_count;
           Metrics_registry.incr m_misses;
           None)
 
@@ -53,22 +49,13 @@ let add k entries =
   Mutex.protect lock (fun () ->
       if not (Hashtbl.mem table k) then Hashtbl.add table k entries)
 
-let hits () = Mutex.protect lock (fun () -> !hit_count)
+let hits () = Metrics_registry.counter_value m_hits
 
-let misses () = Mutex.protect lock (fun () -> !miss_count)
+let misses () = Metrics_registry.counter_value m_misses
 
 let hit_rate () =
-  Mutex.protect lock (fun () ->
-      let total = !hit_count + !miss_count in
-      if total = 0 then 0.0 else float_of_int !hit_count /. float_of_int total)
+  let h = hits () in
+  let total = h + misses () in
+  if total = 0 then 0.0 else float_of_int h /. float_of_int total
 
-let reset_stats () =
-  Mutex.protect lock (fun () ->
-      hit_count := 0;
-      miss_count := 0)
-
-let clear () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.reset table;
-      hit_count := 0;
-      miss_count := 0)
+let clear () = Mutex.protect lock (fun () -> Hashtbl.reset table)

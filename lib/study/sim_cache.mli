@@ -12,8 +12,13 @@
 
     Entries and lookups deep-copy counters and miss arrays, so callers may
     freely mutate what they get back.  The table is domain-safe (a single
-    process-wide mutex) and process-global; {!hits}/{!misses} feed the
-    bench harness's cache-effectiveness report. *)
+    process-wide mutex) and process-global.
+
+    The lookup counts live only in {!Metrics_registry}, as the counters
+    [sim_cache.hits], [sim_cache.misses] and [sim_cache.lookups].  They
+    are whole-process totals: {!clear} drops entries but never rewinds
+    them, so callers that want one phase's counts take before/after
+    deltas of {!hits} and {!misses}. *)
 
 type entry = {
   counters : Counters.t;
@@ -46,13 +51,13 @@ val add : key -> entry array -> unit
     results are equal by construction). *)
 
 val hits : unit -> int
+(** Registry counter [sim_cache.hits]. *)
 
 val misses : unit -> int
+(** Registry counter [sim_cache.misses]. *)
 
 val hit_rate : unit -> float
 (** [hits / (hits + misses)]; 0 when no lookups have happened. *)
 
-val reset_stats : unit -> unit
-
 val clear : unit -> unit
-(** Drop all entries and reset the statistics (tests). *)
+(** Drop all entries; the counters keep counting (tests). *)

@@ -82,6 +82,8 @@ let observe h v =
       if v < h.min_v then h.min_v <- v;
       if v > h.max_v then h.max_v <- v)
 
+let sum h = Mutex.protect lock (fun () -> h.sum)
+
 (* Bucket interpolation can land past the exact extremes (a log2 bucket
    spans up to twice its lower edge), so clamp to the recorded range.
    Caller holds [lock]. *)

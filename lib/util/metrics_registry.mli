@@ -4,7 +4,10 @@
     Metrics complement {!Trace_log} spans: spans answer {e when} something
     ran, metrics answer {e how often} and {e how it was distributed}
     (cache hit counters, per-member simulate seconds, per-domain busy
-    time).  Unlike tracing, metrics are always on — every recording site
+    time).  The registry is the run's only store of timings and counts:
+    every {!Trace_log.with_span} region lands in a [span.<name>]
+    histogram, whose exact count and sum the run manifest reports as its
+    stages.  Unlike tracing, metrics are always on — every recording site
     is far off the simulator's inner loops, so the cost is a handful of
     mutex-protected updates per pipeline stage.
 
@@ -59,6 +62,9 @@ val histogram : ?unit_:string -> string -> histogram
 
 val observe : histogram -> float -> unit
 (** Record one observation.  Negative observations clamp to 0. *)
+
+val sum : histogram -> float
+(** Exact sum of the observations, in the histogram's own unit. *)
 
 val percentile : histogram -> float -> float
 (** Bucket-interpolated percentile in the histogram's own unit

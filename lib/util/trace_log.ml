@@ -37,7 +37,7 @@ let set_enabled b = Atomic.set enabled_flag b
 
 let enabled () = Atomic.get enabled_flag
 
-let record ~begin_ ~name ~args =
+let record ~begin_ ~name ~args ~at =
   let b = Domain.DLS.get buffer_key in
   if b.len = Array.length b.items then begin
     let bigger = Array.make (2 * b.len) dummy_event in
@@ -49,18 +49,25 @@ let record ~begin_ ~name ~args =
       seq = Atomic.fetch_and_add seq_counter 1;
       name;
       begin_;
-      ts = (Unix.gettimeofday () -. epoch) *. 1e6;
+      ts = (at -. epoch) *. 1e6;
       track = Domain.DLS.get track_key;
       args;
     };
   b.len <- b.len + 1
 
+(* The histogram observation and the begin/end events share two clock
+   readings, so a span's recorded duration is exactly its timeline
+   width.  [traced] is sampled once: a span that began recording ends
+   recording, even if tracing is switched off meanwhile. *)
 let with_span ?(args = []) name f =
-  if not (Atomic.get enabled_flag) then f ()
-  else begin
-    record ~begin_:true ~name ~args;
-    Fun.protect ~finally:(fun () -> record ~begin_:false ~name ~args:[]) f
-  end
+  let h = Metrics_registry.histogram ("span." ^ name) in
+  let traced = Atomic.get enabled_flag in
+  let t0 = Unix.gettimeofday () in
+  if traced then record ~begin_:true ~name ~args ~at:t0;
+  Fun.protect f ~finally:(fun () ->
+      let t1 = Unix.gettimeofday () in
+      Metrics_registry.observe h (t1 -. t0);
+      if traced then record ~begin_:false ~name ~args:[] ~at:t1)
 
 let events () =
   let buffers = Mutex.protect registry_lock (fun () -> !registry) in

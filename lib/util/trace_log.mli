@@ -10,12 +10,16 @@
     atomic fetch-and-add for the global sequence number that orders the
     merged stream.
 
-    Tracing is {e off} by default and costs a single branch per
-    {!with_span} when disabled; simulation results are unaffected either
-    way because spans only observe.  Buffers are merged at export time
-    ({!events}, {!to_chrome}, {!to_folded}), which must happen after all
-    worker domains have been joined — {!Parallel.map_array} joins before
-    returning, so any point between pipeline stages qualifies.
+    Every span is timed, traced or not: its duration goes into the
+    {!Metrics_registry} histogram [span.<name>], whose exact count and sum
+    are the run manifest's stage rows.  The event timeline is {e off} by
+    default ({!set_enabled}); when it is on, a span's begin and end events
+    carry the same two clock readings as its histogram observation.
+    Simulation results are unaffected either way because spans only
+    observe.  Buffers are merged at export time ({!events}, {!to_chrome},
+    {!to_folded}), which must happen after all worker domains have been
+    joined — {!Parallel.map_array} joins before returning, so any point
+    between pipeline stages qualifies.
 
     Tracks: the main domain records on track 0; {!Parallel.map_array}
     labels each worker domain with its slot index + 1 via {!set_track}, so
@@ -38,16 +42,17 @@ type event = {
 }
 
 val set_enabled : bool -> unit
-(** Turn recording on or off (off at start-up).  Disabling does not clear
-    already-recorded events. *)
+(** Turn event recording on or off (off at start-up).  Disabling does not
+    clear already-recorded events; span histograms record regardless. *)
 
 val enabled : unit -> bool
 
 val with_span : ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
-(** [with_span ?args name f] runs [f ()], bracketing it with a begin/end
-    event pair on the calling domain's track when tracing is enabled (the
-    end event is recorded even when [f] raises).  When disabled this is
-    [f ()] plus one branch. *)
+(** [with_span ?args name f] runs [f ()] and observes its wall-clock
+    duration into the [span.<name>] histogram.  When recording is enabled
+    it also brackets [f] with a begin/end event pair on the calling
+    domain's track.  The duration and the end event are recorded even
+    when [f] raises. *)
 
 val set_track : int -> unit
 (** Label the calling domain's events with this track id (domain-local;
@@ -73,5 +78,6 @@ val to_folded : unit -> string
     Feed to [flamegraph.pl] or speedscope. *)
 
 val reset : unit -> unit
-(** Drop all recorded events (the enabled flag is left as-is).  Call only
-    between fork-join phases, like {!events}. *)
+(** Drop all recorded events (the enabled flag and the span histograms
+    are left as-is).  Call only between fork-join phases, like
+    {!events}. *)

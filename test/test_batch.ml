@@ -140,6 +140,36 @@ let test_replay_pass_counts_exec_events () =
   check_bool "one pass per workload per entry point, each counting exec events" true
     (List.sort compare events = List.sort compare (exec @ exec))
 
+(* The manifest's batch.events_replayed counts replay work, which
+   advances only on exec events: every replay pass of one call covers one
+   workload's trace, so the call adds (passes / workloads) x the summed
+   exec counts, never the marker-inclusive Trace.length. *)
+let test_batch_counts_exec_events () =
+  let ctx = Lazy.force small_context in
+  let members =
+    [|
+      (Levels.build ctx Levels.Base, Config.make ~size_kb:8 ());
+      (Levels.build ctx Levels.CH, Config.make ~size_kb:8 ());
+    |]
+  in
+  let batch field =
+    match
+      Option.bind (Json.member "batch" (Manifest.to_json ())) (Json.member field)
+    with
+    | Some j -> Option.get (Json.to_int j)
+    | None -> Alcotest.failf "manifest batch.%s missing" field
+  in
+  Sim_cache.clear ();
+  let passes0 = batch "replay_passes" and events0 = batch "events_replayed" in
+  ignore (Runner.simulate_batch ctx ~members ());
+  let passes = batch "replay_passes" - passes0 in
+  let exec = Array.fold_left (fun a t -> a + Trace.exec_count t) 0 ctx.Context.traces in
+  check_int "two layout groups, one pass per workload each"
+    (2 * Context.workload_count ctx) passes;
+  check_int "events_replayed = passes x exec events per workload"
+    (passes / Context.workload_count ctx * exec)
+    (batch "events_replayed" - events0)
+
 let () =
   Alcotest.run "batch"
     [
@@ -150,5 +180,6 @@ let () =
           qcheck prop_direct_fast_path_matches_generic;
           case "duplicate members are deep copies" test_duplicates_are_copies;
           case "replay_pass counts exec events" test_replay_pass_counts_exec_events;
+          case "batch events_replayed counts exec events" test_batch_counts_exec_events;
         ] );
     ]

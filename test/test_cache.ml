@@ -23,7 +23,12 @@ let test_config_validation () =
   check_raises_invalid "non-power-of-two line" (fun () ->
       Config.v ~size:8192 ~assoc:1 ~line:24);
   check_raises_invalid "line bigger than cache" (fun () ->
-      Config.v ~size:32 ~assoc:1 ~line:64)
+      Config.v ~size:32 ~assoc:1 ~line:64);
+  check_raises_invalid "line smaller than an instruction word" (fun () ->
+      Config.v ~size:8192 ~assoc:1 ~line:2);
+  check_bool "check reports what v raises" true
+    (Stdlib.Result.is_error (Config.check ~size:1024 ~assoc:1 ~line:4096)
+    && Config.check ~size:8192 ~assoc:1 ~line:4 = Ok (Config.v ~size:8192 ~assoc:1 ~line:4))
 
 let test_config_addr_math () =
   let c = Config.v ~size:8192 ~assoc:1 ~line:32 in

@@ -279,6 +279,68 @@ let test_manifest_experiment_timing () =
         | Some s -> s >= 0.0
         | None -> false)
 
+(* The manifest's stage rows are read back from the span histograms, so
+   over any window they count exactly the spans the timeline recorded --
+   including the batch path's "simulate" replays -- whatever the domain
+   count.  A fresh seed per run keeps the Levels and Sim_cache memos
+   cold, so every pipeline stage runs inside the window. *)
+let pipeline_window ~traced ~seed =
+  Metrics_registry.reset ();
+  Trace_log.reset ();
+  Trace_log.set_enabled traced;
+  Fun.protect ~finally:(fun () -> Trace_log.set_enabled false) @@ fun () ->
+  let ctx = Context.create ~spec:Spec.small ~words:150_000 ~seed () in
+  let layouts = Levels.build ctx Levels.Base in
+  let config = Config.make ~size_kb:8 () in
+  ignore (Runner.simulate ctx ~layouts ~system:(fun () -> System.unified config) ());
+  ignore (Runner.simulate_batch ctx ~members:[| (layouts, config) |] ())
+
+let manifest_stage_counts () =
+  match member "stages" (Manifest.to_json ()) with
+  | Json.List l ->
+      List.map
+        (fun s ->
+          match (Json.to_str (member "name" s), Json.to_int (member "count" s)) with
+          | Some n, Some c -> (n, c)
+          | _ -> Alcotest.fail "stage row without name/count")
+        l
+  | _ -> Alcotest.fail "stages is not a list"
+
+let test_manifest_matches_trace () =
+  let jobs0 = Parallel.default_jobs () in
+  Fun.protect ~finally:(fun () -> Parallel.set_jobs jobs0) @@ fun () ->
+  List.iter
+    (fun jobs ->
+      Parallel.set_jobs jobs;
+      pipeline_window ~traced:true ~seed:(100 + jobs);
+      let spans : (string, int) Hashtbl.t = Hashtbl.create 16 in
+      List.iter
+        (fun (e : Trace_log.event) ->
+          if not e.Trace_log.begin_ then
+            Hashtbl.replace spans e.Trace_log.name
+              (1 + Option.value ~default:0 (Hashtbl.find_opt spans e.Trace_log.name)))
+        (Trace_log.events ());
+      Trace_log.reset ();
+      let rows = manifest_stage_counts () in
+      List.iter
+        (fun (name, count) ->
+          check_int
+            (Printf.sprintf "jobs=%d: %s row counts its spans" jobs name)
+            (Option.value ~default:0 (Hashtbl.find_opt spans name))
+            count)
+        rows;
+      check_int (Printf.sprintf "jobs=%d: one row per span name" jobs)
+        (Hashtbl.length spans) (List.length rows);
+      check_int (Printf.sprintf "jobs=%d: simulate covers both entry points" jobs) 2
+        (List.assoc "simulate" rows))
+    [ 1; 4 ];
+  pipeline_window ~traced:false ~seed:99;
+  check_int "untraced: no events" 0 (List.length (Trace_log.events ()));
+  let rows = manifest_stage_counts () in
+  List.iter
+    (fun n -> check_bool ("untraced: " ^ n ^ " row present") true (List.mem_assoc n rows))
+    [ "trace_capture"; "levels_build"; "simulate" ]
+
 let () =
   Alcotest.run "report"
     [
@@ -302,5 +364,6 @@ let () =
         [
           case "stage and sim-cache invariants" test_manifest_invariants;
           case "per-experiment timing" test_manifest_experiment_timing;
+          case "stage rows match trace spans" test_manifest_matches_trace;
         ] );
     ]
