@@ -110,6 +110,7 @@ let timing ctx =
   let workload = fst ctx.Context.pairs.(0) in
   let layouts = Levels.build ctx Levels.OptS in
   let map = Program_layout.code_map layouts.(0) in
+  let os_map = layouts.(0).Program_layout.os_map in
   let trace = ctx.Context.traces.(0) in
   let tests =
     [
@@ -126,9 +127,17 @@ let timing ctx =
                (Sequence.build ~graph:model.Model.graph ~profile
                   ~seed_entry:(fun c -> (Model.seed_for model c).Model.entry)
                   ~schedule:Schedule.paper ())));
+      (* [Levels.build] above filled every stage for the default
+         params, so with the stage caches on this row would time only
+         digests and lookups.  Off, it times sequences, SCF and place. *)
       Test.make ~name:"opt-s-layout"
         (Staged.stage (fun () ->
-             ignore (Opt.os_layout ~model ~profile ~loops (Opt.params ()))));
+             Layout_cache.set_enabled false;
+             Fun.protect
+               ~finally:(fun () -> Layout_cache.set_enabled true)
+               (fun () -> ignore (Opt.os_layout ~model ~profile ~loops (Opt.params ())))));
+      Test.make ~name:"address-map-validate"
+        (Staged.stage (fun () -> Address_map.validate os_map));
       Test.make ~name:"chang-hwu-layout"
         (Staged.stage (fun () -> ignore (Chang_hwu.layout model.Model.graph profile)));
       Test.make ~name:"pettis-hansen-layout"

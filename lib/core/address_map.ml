@@ -47,29 +47,58 @@ let placed_count t = t.placed
 
 let graph t = t.graph
 
+(* Stable bottom-up merge sort of block ids by [key.(b)].  Monomorphic,
+   so every comparison is an unboxed int compare; the only allocation is
+   one scratch array of the same length. *)
+let sort_by_key key a =
+  let n = Array.length a in
+  let src = ref a and dst = ref (Array.make n 0) and width = ref 1 in
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min (!lo + !width) n and hi = min (!lo + (2 * !width)) n in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || key.(s.(!i)) <= key.(s.(!j))) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  !src
+
 let blocks_by_addr t =
-  let blocks =
-    Array.of_seq
-      (Seq.filter (is_placed t) (Seq.init (Graph.block_count t.graph) Fun.id))
-  in
-  Array.sort (fun a b -> compare t.addr.(a) t.addr.(b)) blocks;
-  blocks
+  let blocks = Array.make t.placed 0 and k = ref 0 in
+  for b = 0 to Array.length t.addr - 1 do
+    if t.addr.(b) >= 0 then begin
+      blocks.(!k) <- b;
+      incr k
+    end
+  done;
+  sort_by_key t.addr blocks
 
 let validate t =
   let n = Graph.block_count t.graph in
   if t.placed <> n then
     failwith (Printf.sprintf "Address_map: %d of %d blocks placed" t.placed n);
   let order = blocks_by_addr t in
-  Array.iteri
-    (fun i b ->
-      if i > 0 then begin
-        let prev = order.(i - 1) in
-        let prev_end = t.addr.(prev) + (Graph.block t.graph prev).Block.size in
-        if t.addr.(b) < prev_end then
-          failwith
-            (Printf.sprintf "Address_map: blocks %d and %d overlap at %d" prev b t.addr.(b))
-      end)
-    order
+  for i = 1 to n - 1 do
+    let prev = order.(i - 1) and b = order.(i) in
+    let prev_end = t.addr.(prev) + (Graph.block t.graph prev).Block.size in
+    if t.addr.(b) < prev_end then
+      failwith
+        (Printf.sprintf "Address_map: blocks %d and %d overlap at %d" prev b t.addr.(b))
+  done
 
 let addr_array t = Array.copy t.addr
 

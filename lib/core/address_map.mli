@@ -31,8 +31,10 @@ val placed_count : t -> int
 val graph : t -> Graph.t
 
 val validate : t -> unit
-(** Check completeness (every block placed) and non-overlap.
-    @raise Failure with a diagnostic otherwise. *)
+(** Check completeness (every block placed) and non-overlap: after
+    {!blocks_by_addr}, each block must start at or after the end of the
+    block before it.  @raise Failure with a diagnostic otherwise (the
+    first overlapping pair in address order). *)
 
 val addr_array : t -> int array
 (** Block id -> address (for cache replay). *)
@@ -41,4 +43,6 @@ val bytes_array : t -> int array
 (** Block id -> size. *)
 
 val blocks_by_addr : t -> Block.id array
-(** All placed blocks sorted by address. *)
+(** A fresh array holding every placed block exactly once (a permutation
+    of the placed ids), sorted by address.  The sort is stable: blocks at
+    equal addresses stay in ascending id order. *)

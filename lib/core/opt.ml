@@ -28,27 +28,23 @@ type result = {
 
 (* Cursor over memory organized as logical caches of size [cache] whose
    lowest [hole] bytes (beyond the first logical cache) are reserved.
-   Records the holes it skips so they can be filled with cold code. *)
+   Records the holes it skips so they can be filled with cold code; [at]
+   only grows, so each hole is skipped, and recorded, once. *)
 type cursor = {
   cache : int;
   hole : int;
   mutable at : int;
   mutable holes : (int * int) list;  (* (start, size), reverse order *)
-  seen : (int, unit) Hashtbl.t;  (* hole starts already recorded *)
 }
 
-let cursor ~cache ~hole ~start =
-  { cache; hole; at = start; holes = []; seen = Hashtbl.create 16 }
+let cursor ~cache ~hole ~start = { cache; hole; at = start; holes = [] }
 
 let rec fit c size =
   let off = c.at mod c.cache in
   if c.hole > 0 && c.at >= c.cache && off < c.hole then begin
     (* Entering a reserved hole: skip it, remembering the span. *)
     let start = c.at - off in
-    if not (Hashtbl.mem c.seen start) then begin
-      Hashtbl.add c.seen start ();
-      c.holes <- (start, c.hole) :: c.holes
-    end;
+    c.holes <- (start, c.hole) :: c.holes;
     c.at <- start + c.hole;
     fit c size
   end
@@ -124,6 +120,22 @@ let assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude par
             i.Loopstat.loop.Loops.body)
       infos
   end;
+  (* The cursor can place a block only beside a logical cache's hole, so
+     one that does not fit there would send [fit] skipping forever. *)
+  let hole = if params.scf_holes then scf_bytes else 0 in
+  if hole > 0 then begin
+    let largest = ref 0 in
+    for b = 0 to Graph.block_count g - 1 do
+      if not (in_scf.(b) || exclude b) then
+        largest := max !largest (Graph.block g b).Block.size
+    done;
+    if !largest > 0 && hole + !largest > params.cache_size then
+      invalid_arg
+        (Printf.sprintf
+           "Opt.layout: a %d-byte block does not fit beside the %d-byte SelfConfFree \
+            hole of a %d-byte logical cache"
+           !largest hole params.cache_size)
+  end;
   let map = Address_map.create g in
   (* 1. SelfConfFree area at the bottom of the first logical cache. *)
   let scf_cursor = ref params.start_offset in
@@ -133,7 +145,6 @@ let assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude par
       scf_cursor := !scf_cursor + (Graph.block g b).Block.size)
     scf_blocks;
   (* 2. Sequences, skipping later logical caches' SelfConfFree holes. *)
-  let hole = if params.scf_holes then scf_bytes else 0 in
   let cur =
     cursor ~cache:params.cache_size ~hole ~start:(params.start_offset + scf_bytes)
   in
@@ -162,34 +173,64 @@ let assemble ~graph:g ~profile:p ~sequences ~select_scf ~loop_infos ~exclude par
       let size = (Graph.block g b).Block.size in
       Address_map.place map b ~addr:(fit cur size) ~region:Address_map.Loop_area)
     loop_blocks;
-  (* 4. Cold filler: coldest blocks first into the reserved holes, the
-     rest after the end. *)
-  let unplaced =
-    List.filter
-      (fun b -> (not (Address_map.is_placed map b)) && not (exclude b))
-      (List.init (Graph.block_count g) Fun.id)
+  (* 4. Cold filler: every block still unplaced, coldest first (profile
+     weight, then id), first-fit into the holes the sequences skipped,
+     the rest after the end.  Holes the cursor opens during that tail
+     fill stay unused.  Unexecuted blocks (weight 0.0, usually nearly all
+     of them) are already in id order, so only the executed rest is
+     sorted and the two runs are merged. *)
+  let w = p.Profile.block in
+  let n = Graph.block_count g in
+  let zero = Array.make n 0 and nz = ref 0 in
+  let rest = Array.make n 0 and nr = ref 0 in
+  for b = 0 to n - 1 do
+    if not (Address_map.is_placed map b || exclude b) then
+      if w.(b) = 0.0 then begin
+        zero.(!nz) <- b;
+        incr nz
+      end
+      else begin
+        rest.(!nr) <- b;
+        incr nr
+      end
+  done;
+  let colder a b =
+    let c = Float.compare w.(a) w.(b) in
+    if c <> 0 then c else Int.compare a b
   in
-  let coldest =
-    List.sort
-      (fun a b -> compare (p.Profile.block.(a), a) (p.Profile.block.(b), b))
-      unplaced
-  in
-  let holes = ref (List.rev_map (fun (start, size) -> (start, size)) cur.holes) in
+  let rest = Array.sub rest 0 !nr in
+  Array.sort colder rest;
+  let nholes = List.length cur.holes in
+  let hole_start = Array.make nholes 0 and hole_avail = Array.make nholes 0 in
+  List.iteri
+    (fun i (start, size) ->
+      hole_start.(nholes - 1 - i) <- start;
+      hole_avail.(nholes - 1 - i) <- size)
+    cur.holes;
   let place_cold b =
     let size = (Graph.block g b).Block.size in
-    let rec try_holes acc = function
-      | [] ->
-          holes := List.rev acc;
-          Address_map.place map b ~addr:(fit cur size) ~region:Address_map.Cold
-      | (start, avail) :: rest when avail >= size ->
-          Address_map.place map b ~addr:start ~region:Address_map.Cold;
-          let remaining = (start + size, avail - size) in
-          holes := List.rev_append acc (remaining :: rest)
-      | hole :: rest -> try_holes (hole :: acc) rest
-    in
-    try_holes [] !holes
+    let h = ref 0 in
+    while !h < nholes && hole_avail.(!h) < size do
+      incr h
+    done;
+    if !h < nholes then begin
+      Address_map.place map b ~addr:hole_start.(!h) ~region:Address_map.Cold;
+      hole_start.(!h) <- hole_start.(!h) + size;
+      hole_avail.(!h) <- hole_avail.(!h) - size
+    end
+    else Address_map.place map b ~addr:(fit cur size) ~region:Address_map.Cold
   in
-  List.iter place_cold coldest;
+  let i = ref 0 and j = ref 0 in
+  while !i < !nz || !j < !nr do
+    if !j >= !nr || (!i < !nz && colder zero.(!i) rest.(!j) < 0) then begin
+      place_cold zero.(!i);
+      incr i
+    end
+    else begin
+      place_cold rest.(!j);
+      incr j
+    end
+  done;
   { map; sequences; scf_blocks; scf_bytes; loop_blocks }
 
 let layout ~graph:g ~profile:p ~loops ~seed_entry ~schedule ?exclude

@@ -9,7 +9,10 @@
       pulled out of the sequences into a contiguous loop area at their
       end;
     - everything left over (unexecuted special-case code) fills the holes
-      and the tail of memory.
+      and the tail of memory, coldest first: ascending profile weight,
+      ties by ascending block id.  Each block goes to the first hole
+      (in address order) with room left, else after the end; holes the
+      cursor skips during that tail fill stay empty.
 
     The same machinery lays out applications (OptA): no SelfConfFree area,
     the routine [main] as the only seed, and a non-zero [start_offset] so
@@ -67,14 +70,21 @@ val layout :
     validation).  An [exclude] predicate is opaque to the content
     addressing, so such a call bypasses the placement cache (the caller
     may then mutate the returned map safely) while still sharing the
-    sequence/SCF/loop sub-stages. *)
+    sequence/SCF/loop sub-stages.
+
+    @raise Invalid_argument before placing anything when [scf_holes] is
+    on and some block outside the SelfConfFree area is larger than the
+    room a logical cache leaves beside the hole ([cache_size] minus the
+    SelfConfFree bytes); the message names the cache size, the hole and
+    the block size.  Such a block fits nowhere in the layout. *)
 
 val os_layout :
   ?schedule:Schedule.pass list -> ?follow_calls:bool ->
   model:Model.t -> profile:Profile.t -> loops:Loops.t list -> params -> result
 (** OptS/OptL for the kernel: seeds from the model, Table 4 schedule by
-    default.  [schedule] and [follow_calls] exist for the ablation studies
-    (flat schedules, fewer seeds, no caller/callee interleaving). *)
+    default; raises like {!layout}.  [schedule] and [follow_calls] exist
+    for the ablation studies (flat schedules, fewer seeds, no
+    caller/callee interleaving). *)
 
 val app_layout :
   app:App_model.t -> profile:Profile.t -> ?stagger:int -> ?addr_skew:int ->

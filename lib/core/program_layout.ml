@@ -66,14 +66,11 @@ let base_os model =
   Base_cache.find_or_build ~key (fun () ->
       Base.layout g ~order:model.Model.base_order)
 
+let make ~name ~os_map ~os_meta app_maps =
+  { name; os_map; app_maps; os_meta; digest_memo = "" }
+
 let base ~model ~program =
-  {
-    name = "Base";
-    os_map = base_os model;
-    app_maps = base_apps program;
-    os_meta = None;
-    digest_memo = "";
-  }
+  make ~name:"Base" ~os_map:(base_os model) ~os_meta:None (base_apps program)
 
 (* The C-H OS placement depends only on (graph, profile) and is shared by
    every workload of a level build, so it rides the same content-addressed
@@ -84,31 +81,23 @@ module Ch_cache = Layout_cache.Stage (struct
   let name = "chang_hwu"
 end)
 
-let chang_hwu ~model ~program ~os_profile =
+let chang_hwu_os ~model ~os_profile =
   let g = model.Model.graph in
   let key =
     Digest.to_hex
       (Digest.string
          (Layout_cache.graph_digest g ^ "|" ^ Layout_cache.profile_digest os_profile))
   in
-  {
-    name = "C-H";
-    os_map = Ch_cache.find_or_build ~key (fun () -> Chang_hwu.layout g os_profile);
-    app_maps = base_apps program;
-    os_meta = None;
-    digest_memo = "";
-  }
+  Ch_cache.find_or_build ~key (fun () -> Chang_hwu.layout g os_profile)
+
+let chang_hwu ~model ~program ~os_profile =
+  make ~name:"C-H" ~os_map:(chang_hwu_os ~model ~os_profile) ~os_meta:None
+    (base_apps program)
 
 let opt_with ~name ~extract_loops ~model ~program ~os_profile ~params =
   let params = { params with Opt.extract_loops } in
   let r = Opt.os_layout ~model ~profile:os_profile ~loops:(os_loops model) params in
-  {
-    name;
-    os_map = r.Opt.map;
-    app_maps = base_apps program;
-    os_meta = Some r;
-    digest_memo = "";
-  }
+  make ~name ~os_map:r.Opt.map ~os_meta:(Some r) (base_apps program)
 
 let opt_s ~model ~program ~os_profile ?(params = Opt.params ()) () =
   opt_with ~name:"OptS" ~extract_loops:false ~model ~program ~os_profile ~params
@@ -116,20 +105,16 @@ let opt_s ~model ~program ~os_profile ?(params = Opt.params ()) () =
 let opt_l ~model ~program ~os_profile ?(params = Opt.params ()) () =
   opt_with ~name:"OptL" ~extract_loops:true ~model ~program ~os_profile ~params
 
-let opt_a ~model ~program ~os_profile ~app_profiles ?(params = Opt.params ()) () =
-  let os = opt_with ~name:"OptA" ~extract_loops:false ~model ~program ~os_profile ~params in
-  let app_maps =
-    Array.mapi
-      (fun k (app : App_model.t) ->
-        let r =
-          Opt.app_layout ~app ~profile:app_profiles.(k) ~stagger:k
-            ~addr_skew:(app_skew k mod params.Opt.cache_size)
-            params
-        in
-        r.Opt.map)
-      program.Program.apps
-  in
-  { os with app_maps; digest_memo = "" }
+let opt_apps ~program ~app_profiles params =
+  Array.mapi
+    (fun k (app : App_model.t) ->
+      let r =
+        Opt.app_layout ~app ~profile:app_profiles.(k) ~stagger:k
+          ~addr_skew:(app_skew k mod params.Opt.cache_size)
+          params
+      in
+      r.Opt.map)
+    program.Program.apps
 
 let with_os_map t ~name os_map ~os_meta =
   { t with name; os_map; os_meta; digest_memo = "" }

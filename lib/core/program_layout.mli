@@ -7,8 +7,9 @@
     - [chang_hwu]: C-H layout for the OS, applications unchanged;
     - [opt_s]: sequences + SelfConfFree area, no loop extraction;
     - [opt_l]: [opt_s] plus loop extraction;
-    - [opt_a]: [opt_s] for the OS plus optimized application layouts
-      (sequences + loop extraction, placed from the opposite cache side). *)
+    - OptA: [opt_s] for the OS plus optimized application layouts
+      (sequences + loop extraction, placed from the opposite cache side),
+      composed by {!make} from an OptS OS placement and {!opt_apps}. *)
 
 type t = private {
   name : string;
@@ -41,10 +42,30 @@ val opt_l :
   model:Model.t -> program:Program.t -> os_profile:Profile.t ->
   ?params:Opt.params -> unit -> t
 
-val opt_a :
-  model:Model.t -> program:Program.t -> os_profile:Profile.t ->
-  app_profiles:Profile.t array -> ?params:Opt.params -> unit -> t
-(** [app_profiles.(k)] profiles application image [k+1]. *)
+val make :
+  name:string -> os_map:Address_map.t -> os_meta:Opt.result option ->
+  Address_map.t array -> t
+(** A layout from an OS placement and one map per application image, in
+    image order.  Lets a caller build one OS placement and share it
+    across the layouts of several workloads. *)
+
+val base_os : Model.t -> Address_map.t
+(** The Base OS placement: original link order, memoized per graph and
+    order (the [base] stage of {!Layout_cache}). *)
+
+val chang_hwu_os : model:Model.t -> os_profile:Profile.t -> Address_map.t
+(** The C-H OS placement, memoized per graph and profile (the
+    [chang_hwu] stage). *)
+
+val base_apps : Program.t -> Address_map.t array
+(** Original-order placements of the program's application images, one
+    map per image shared by every workload and level that runs it. *)
+
+val opt_apps :
+  program:Program.t -> app_profiles:Profile.t array -> Opt.params ->
+  Address_map.t array
+(** OptA application placements ({!Opt.app_layout}, image [k+1] staggered
+    by [k] quarter caches); [app_profiles.(k)] profiles image [k+1]. *)
 
 val with_os_map : t -> name:string -> Address_map.t -> os_meta:Opt.result option -> t
 (** Replace the OS placement (used by the Call/Resv variants). *)

@@ -31,7 +31,24 @@ let memo_lock = Mutex.create ()
 let build_uncached (ctx : Context.t) ?jobs ~params level =
   let model = ctx.Context.model in
   let os_profile = ctx.Context.avg_os_profile in
-  let build ((w : Workload.t), program) =
+  (* Every workload of a level shares one OS placement, built from the
+     averaged profile: compute it once, then fan out only the
+     per-workload application placements. *)
+  let opt extract_loops =
+    let r =
+      Opt.os_layout ~model ~profile:os_profile ~loops:(Program_layout.os_loops model)
+        { params with Opt.extract_loops }
+    in
+    (r.Opt.map, Some r)
+  in
+  let os_map, os_meta =
+    match level with
+    | Base -> (Program_layout.base_os model, None)
+    | CH -> (Program_layout.chang_hwu_os ~model ~os_profile, None)
+    | OptS | OptA -> opt false
+    | OptL -> opt true
+  in
+  let build _ ((w : Workload.t), program) =
     Trace_log.with_span "build_pair"
       ~args:
         [
@@ -40,34 +57,16 @@ let build_uncached (ctx : Context.t) ?jobs ~params level =
           ("domain", Json.Int (Domain.self () :> int));
         ]
     @@ fun () ->
-    match level with
-    | Base -> Program_layout.base ~model ~program
-    | CH -> Program_layout.chang_hwu ~model ~program ~os_profile
-    | OptS -> Program_layout.opt_s ~model ~program ~os_profile ~params ()
-    | OptL -> Program_layout.opt_l ~model ~program ~os_profile ~params ()
-    | OptA ->
-        let app_profiles =
-          Array.map ctx.Context.avg_app_profile program.Program.apps
-        in
-        Program_layout.opt_a ~model ~program ~os_profile ~app_profiles ~params ()
-  in
-  let pairs = ctx.Context.pairs in
-  if Array.length pairs <= 1 then Array.map build pairs
-  else begin
-    (* Warm the shared OS-side stage caches on the first pair before
-       fanning out: every workload of a level shares the same OS
-       placement, so without the warm-up each domain would race to
-       rebuild it (correct — first store wins — but wasted work).  The
-       fan-out then parallelizes only the genuinely per-workload part
-       (application placements). *)
-    let first = build pairs.(0) in
-    let rest =
-      Parallel.map_array ?jobs
-        (fun _ pair -> build pair)
-        (Array.sub pairs 1 (Array.length pairs - 1))
+    let app_maps =
+      match level with
+      | Base | CH | OptS | OptL -> Program_layout.base_apps program
+      | OptA ->
+          let app_profiles = Array.map ctx.Context.avg_app_profile program.Program.apps in
+          Program_layout.opt_apps ~program ~app_profiles params
     in
-    Array.append [| first |] rest
-  end
+    Program_layout.make ~name:(to_string level) ~os_map ~os_meta app_maps
+  in
+  Parallel.map_array ?jobs build ctx.Context.pairs
 
 let build ctx ?(params = Opt.params ()) level =
   (* Base and C-H never consume [params] (see [build_uncached]), so their

@@ -20,16 +20,18 @@ val build : Context.t -> ?params:Opt.params -> level -> Program_layout.t array
     algorithms.  Underneath, construction is staged through
     {!Layout_cache}, so even distinct memo keys (a cache-size sweep, a
     SelfConfFree sweep, OptS vs OptL vs OptA) share the stages whose
-    inputs did not change, and the per-workload placements of a miss are
-    built in parallel under [--jobs]. *)
+    inputs did not change.  A miss places the OS once for all workloads
+    and builds the per-workload application placements in parallel under
+    [--jobs]. *)
 
 val build_uncached :
   Context.t -> ?jobs:int -> params:Opt.params -> level -> Program_layout.t array
 (** The construction behind {!build}, bypassing the whole-array memo (the
     staged {!Layout_cache} layer still applies unless disabled).  The
-    first workload is built alone to warm the shared OS-side stage
-    caches; the rest fan out over [jobs] domains.  Exposed for the
-    staged-equals-monolithic equivalence tests. *)
+    level's OS placement is built once and shared by every workload's
+    layout; only the application placements fan out over [jobs]
+    domains.  Exposed for the staged-equals-monolithic equivalence
+    tests. *)
 
 val build_opt_s_with : Context.t -> params:Opt.params -> Program_layout.t array
 (** OptS with explicit parameters (SelfConfFree sweeps, cache-size

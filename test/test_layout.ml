@@ -65,6 +65,71 @@ let test_address_map_arrays () =
   let bytes = Address_map.bytes_array m in
   check_int "sizes exported" 16 bytes.(d.entry)
 
+(* Random small maps over a one-routine graph: sometimes packed without
+   overlap (a random order with random gaps), sometimes scattered over a
+   narrow range so blocks often collide, and sometimes with blocks left
+   unplaced. *)
+let random_map_gen =
+  QCheck.Gen.(
+    let* sizes = list_size (1 -- 12) (1 -- 16) in
+    let n = List.length sizes in
+    let* packed = bool in
+    let* order = shuffle_l (List.init n Fun.id) in
+    let* gaps = list_repeat n (0 -- 8) in
+    let* scattered = list_repeat n (0 -- (4 * n)) in
+    let* unplaced = list_repeat n (frequencyl [ (9, false); (1, true) ]) in
+    let sizes = Array.of_list sizes in
+    let addr = Array.make n 0 in
+    if packed then
+      ignore
+        (List.fold_left2
+           (fun at b gap ->
+             addr.(b) <- at + gap;
+             at + gap + sizes.(b))
+           0 order gaps)
+    else List.iteri (fun b a -> addr.(b) <- a) scattered;
+    let placed = Array.of_list (List.map not unplaced) in
+    return (sizes, addr, placed))
+
+let print_map (sizes, addr, placed) =
+  String.concat " "
+    (List.init (Array.length sizes) (fun b ->
+         if placed.(b) then Printf.sprintf "%d@%d+%d" b addr.(b) sizes.(b)
+         else Printf.sprintf "%d:unplaced" b))
+
+let prop_validate_matches_pairwise =
+  QCheck.Test.make ~count:500
+    ~name:"validate raises iff blocks overlap; blocks_by_addr is a stably sorted permutation"
+    (QCheck.make ~print:print_map random_map_gen)
+    (fun (sizes, addr, placed) ->
+      let n = Array.length sizes in
+      let bld = Graph.builder () in
+      let r = Graph.declare_routine bld "r" in
+      Array.iter (fun size -> ignore (Graph.add_block bld ~routine:r ~size ())) sizes;
+      let m = Address_map.create (Graph.freeze bld) in
+      Array.iteri
+        (fun b a -> if placed.(b) then Address_map.place m b ~addr:a ~region:Address_map.Cold)
+        addr;
+      let ids = List.filter (fun b -> placed.(b)) (List.init n Fun.id) in
+      let overlap =
+        List.exists
+          (fun i ->
+            List.exists
+              (fun j -> i < j && addr.(i) < addr.(j) + sizes.(j) && addr.(j) < addr.(i) + sizes.(i))
+              ids)
+          ids
+      in
+      let raised = match Address_map.validate m with () -> false | exception Failure _ -> true in
+      let by_addr = Array.to_list (Address_map.blocks_by_addr m) in
+      let rec sorted = function
+        | a :: (b :: _ as rest) ->
+            (addr.(a) < addr.(b) || (addr.(a) = addr.(b) && a < b)) && sorted rest
+        | [ _ ] | [] -> true
+      in
+      raised = (overlap || List.length ids < n)
+      && List.sort compare by_addr = ids
+      && sorted by_addr)
+
 (* ------------------------------------------------------------------ *)
 (* Base layout                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -392,6 +457,170 @@ let test_opt_app_stagger () =
   check_bool "staggered images differ" true
     (Address_map.addr a.Opt.map entry <> Address_map.addr b.Opt.map entry)
 
+(* A SelfConfFree hole that leaves no room for a block in the rest of
+   the logical cache used to send the cursor skipping forever. *)
+let test_opt_hole_too_large () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec from i = i + n <= String.length s && (String.sub s i n = sub || from (i + 1)) in
+    from 0
+  in
+  let ctx = small_ctx () in
+  let params = Opt.params ~cache_size:1024 ~scf_cutoff:(Some 0.1) () in
+  match os_opt ~params ctx with
+  | exception Invalid_argument msg ->
+      check_bool "message names the cache size" true
+        (contains msg "1024-byte logical cache")
+  | _ -> Alcotest.fail "expected Invalid_argument for a hole that leaves no room"
+
+(* Reference placement: the original list-based construction (a cursor
+   that records skipped holes in a list, a polymorphic sort of the cold
+   blocks by (weight, id), first-fit over a rebuilt hole list), re-placing
+   from the stage outputs a result records. *)
+let reference_place ~graph:g ~profile:p (params : Opt.params) (r : Opt.result) =
+  let size b = (Graph.block g b).Block.size in
+  let map = Address_map.create g in
+  List.fold_left
+    (fun at b ->
+      Address_map.place map b ~addr:at ~region:Address_map.Self_conf_free;
+      at + size b)
+    params.Opt.start_offset r.Opt.scf_blocks
+  |> ignore;
+  let cache = params.Opt.cache_size in
+  let hole = if params.Opt.scf_holes then r.Opt.scf_bytes else 0 in
+  let at = ref (params.Opt.start_offset + r.Opt.scf_bytes) and skipped = ref [] in
+  let rec fit size =
+    let off = !at mod cache in
+    if hole > 0 && !at >= cache && off < hole then begin
+      let start = !at - off in
+      if not (List.mem_assoc start !skipped) then skipped := (start, hole) :: !skipped;
+      at := start + hole;
+      fit size
+    end
+    else if hole > 0 && off + size > cache then begin
+      at := !at - off + cache;
+      fit size
+    end
+    else begin
+      let a = !at in
+      at := a + size;
+      a
+    end
+  in
+  let mem l b = List.mem b l in
+  List.iter
+    (fun (s : Sequence.t) ->
+      let region =
+        if s.Sequence.pass.Schedule.exec_thresh >= Schedule.main_seq_exec_thresh then
+          Address_map.Main_seq
+        else Address_map.Other_seq
+      in
+      Array.iter
+        (fun b ->
+          if not (mem r.Opt.scf_blocks b || mem r.Opt.loop_blocks b) then
+            Address_map.place map b ~addr:(fit (size b)) ~region)
+        s.Sequence.blocks)
+    r.Opt.sequences;
+  List.iter
+    (fun b -> Address_map.place map b ~addr:(fit (size b)) ~region:Address_map.Loop_area)
+    r.Opt.loop_blocks;
+  let coldest =
+    List.sort
+      (fun a b -> compare (p.Profile.block.(a), a) (p.Profile.block.(b), b))
+      (List.filter
+         (fun b -> not (Address_map.is_placed map b))
+         (List.init (Graph.block_count g) Fun.id))
+  in
+  let holes = ref (List.rev !skipped) in
+  List.iter
+    (fun b ->
+      let rec try_holes acc = function
+        | [] ->
+            holes := List.rev acc;
+            Address_map.place map b ~addr:(fit (size b)) ~region:Address_map.Cold
+        | (start, avail) :: rest when avail >= size b ->
+            Address_map.place map b ~addr:start ~region:Address_map.Cold;
+            holes := List.rev_append acc ((start + size b, avail - size b) :: rest)
+        | h :: rest -> try_holes (h :: acc) rest
+      in
+      try_holes [] !holes)
+    coldest;
+  map
+
+(* Schedules cut off at ExecThresh 0.01% leave executed blocks to the
+   cold filler, so it sorts a mix of zero and non-zero weights. *)
+let prop_placement_matches_reference =
+  QCheck.Test.make ~count:40 ~name:"array placement == list-based reference"
+    QCheck.(
+      pair
+        (quad (oneofl [ 4; 8; 16; 32 ])
+           (oneofl [ None; Some 0.1; Some 0.25; Some 0.5; Some 1.0; Some 2.0 ])
+           bool bool)
+        (triple (int_bound 3) bool (int_bound 4095)))
+    (fun ((size_kb, scf_cutoff, extract_loops, scf_holes), (image, warm_cold, offset)) ->
+      let ctx = small_ctx () in
+      let params =
+        Opt.params ~cache_size:(size_kb * 1024) ~scf_cutoff ~extract_loops ~scf_holes ()
+      in
+      let final = if warm_cold then List.filter (fun p -> p.Schedule.exec_thresh >= 1e-4) else Fun.id in
+      let graph, profile, r, params =
+        if image = 0 then
+          let model = ctx.Context.model and profile = ctx.Context.avg_os_profile in
+          ( model.Model.graph,
+            profile,
+            Opt.os_layout ~schedule:(final Schedule.paper) ~model ~profile
+              ~loops:(Context.os_loops ctx) params,
+            params )
+        else begin
+          (* An application image, as OptA places it: no SelfConfFree
+             area, [main] as the only seed, loops extracted, sequences
+             from a non-zero start offset. *)
+          let apps =
+            Array.concat
+              (Array.to_list (Array.map (fun (_, p) -> p.Program.apps) ctx.Context.pairs))
+          in
+          let app = apps.((image - 1) mod Array.length apps) in
+          let graph = app.App_model.graph in
+          let profile = ctx.Context.avg_app_profile app in
+          let params =
+            { params with Opt.scf_cutoff = None; extract_loops = true; start_offset = offset }
+          in
+          let entry = Graph.entry_of graph app.App_model.main in
+          ( graph,
+            profile,
+            Opt.layout ~graph ~profile ~loops:(Layout_cache.loops graph)
+              ~seed_entry:(fun _ -> entry)
+              ~schedule:(final (Schedule.uniform ~levels:[ (1e-3, 0.4); (1e-5, 0.01); (0.0, 0.0) ]))
+              params,
+            params )
+        end
+      in
+      let expected = reference_place ~graph ~profile params r in
+      let regions m = Array.init (Graph.block_count graph) (Address_map.region m) in
+      Address_map.addr_array r.Opt.map = Address_map.addr_array expected
+      && regions r.Opt.map = regions expected)
+
+(* The placement stage, rebuilt for a new cache size with every sub-stage
+   warm, allocates a bounded number of minor words per block: no lists,
+   no boxed sort keys. *)
+let test_place_allocation_bounded () =
+  let ctx = small_ctx () in
+  let blocks = float_of_int (Graph.block_count (Context.os_graph ctx)) in
+  Layout_cache.clear ();
+  ignore (os_opt ctx);
+  List.iter
+    (fun size_kb ->
+      let place () = (List.assoc "place" (Layout_cache.stage_stats ())).Layout_cache.misses in
+      let misses = place () in
+      let before = Gc.minor_words () in
+      ignore (os_opt ~params:(Opt.params ~cache_size:(size_kb * 1024) ()) ctx);
+      let words = (Gc.minor_words () -. before) /. blocks in
+      check_int (Printf.sprintf "%d KB: one place build" size_kb) (misses + 1) (place ());
+      check_bool
+        (Printf.sprintf "%d KB: %.1f minor words/block <= 20" size_kb words)
+        true (words <= 20.0))
+    [ 4; 16; 32 ]
+
 (* ------------------------------------------------------------------ *)
 (* Chang-Hwu                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -513,6 +742,7 @@ let () =
           case "validate overlap" test_address_map_validate_overlap;
           case "blocks_by_addr" test_address_map_blocks_by_addr;
           case "arrays" test_address_map_arrays;
+          qcheck prop_validate_matches_pairwise;
         ] );
       ( "base",
         [
@@ -544,6 +774,9 @@ let () =
           case "no SCF" test_opt_no_scf;
           case "app layout" test_opt_app_layout;
           case "app stagger" test_opt_app_stagger;
+          case "hole too large for the cache" test_opt_hole_too_large;
+          qcheck prop_placement_matches_reference;
+          case "place allocation bounded" test_place_allocation_bounded;
         ] );
       ( "chang_hwu",
         [
