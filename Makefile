@@ -38,11 +38,13 @@ validate: build
 	_build/default/bin/icache_opt.exe validate _build/trace_j4.json
 
 # Bad command-line input is a usage error (exit 124), never an uncaught
-# exception (125) or a silent success (0): invalid cache geometries and a
-# non-positive trace length are rejected before any work starts.
+# exception (125) or a silent success (0): invalid cache geometries, a
+# non-positive trace length and an out-of-range workload index are
+# rejected before any work starts.
 cli-errors: build
 	@for args in "simulate --size-kb 3" "simulate --assoc 3" \
 	  "simulate --line 4096 --size-kb 1" "simulate --line 2" "simulate --words 0" \
+	  "simulate --workload 4" "trace --workload 4 -o /dev/null" \
 	  "sweep --sizes 3" "sweep --lines 2" "sweep --words 0"; do \
 	  status=0; _build/default/bin/icache_opt.exe $$args --small >/dev/null 2>&1 || status=$$?; \
 	  if [ $$status -ne 124 ]; then \

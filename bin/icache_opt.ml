@@ -45,6 +45,24 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
+(* Checked while parsing, so an out-of-range index is a usage error (exit
+   124) before any kernel is generated or traced. *)
+let workload_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some w when w >= 0 && w < Workload.standard_count -> Ok w
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "%S is not a workload index (0-%d)" s
+               (Workload.standard_count - 1)))
+  in
+  let doc = "Workload index 0-3 (TRFD_4, TRFD+Make, ARC2D+Fsck, Shell)." in
+  Arg.(
+    value
+    & opt (conv ~docv:"I" (parse, Format.pp_print_int)) 0
+    & info [ "w"; "workload" ] ~docv:"I" ~doc)
+
 (* Both converters funnel every CLI spelling through the library's single
    parser, so the accepted names cannot drift between subcommands. *)
 let level_conv =
@@ -268,10 +286,6 @@ let repro_cmd =
 (* ------------------------------------------------------------------ *)
 
 let simulate_cmd =
-  let workload_arg =
-    let doc = "Workload index 0-3 (TRFD_4, TRFD+Make, ARC2D+Fsck, Shell)." in
-    Arg.(value & opt int 0 & info [ "w"; "workload" ] ~docv:"I" ~doc)
-  in
   let level_arg =
     let doc = "Layout level: base, ch, opts, optl or opta." in
     Arg.(value & opt level_conv Levels.OptS & info [ "l"; "level" ] ~docv:"LEVEL" ~doc)
@@ -293,17 +307,10 @@ let simulate_cmd =
   in
   let run words seed small jobs w level config =
     let ctx = make_context ~small ~words ~seed ~jobs in
-    if w < 0 || w >= Context.workload_count ctx then begin
-      Printf.eprintf "workload index out of range\n";
-      exit 1
-    end;
-    let layouts = Levels.build ctx level in
     let runs =
-      Runner.simulate ctx ~layouts
-        ~system:(fun () -> System.unified config)
-        ()
+      Runner.simulate_batch ctx ~members:[| (Levels.build ctx level, config) |] ()
     in
-    let c = runs.(w).Runner.counters in
+    let c = runs.(0).(w).Runner.counters in
     Printf.printf "workload %s, layout %s, cache %s\n"
       (Context.workload_names ctx).(w) (Levels.to_string level)
       (Config.to_string config);
@@ -547,10 +554,6 @@ let profile_cmd =
 (* ------------------------------------------------------------------ *)
 
 let trace_cmd =
-  let workload_arg =
-    let doc = "Workload index 0-3 (TRFD_4, TRFD+Make, ARC2D+Fsck, Shell)." in
-    Arg.(value & opt int 0 & info [ "w"; "workload" ] ~docv:"I" ~doc)
-  in
   let out_arg =
     let doc = "Binary trace output file." in
     Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
@@ -558,12 +561,7 @@ let trace_cmd =
   let run words seed small w out =
     let spec = if small then Spec.small else Spec.default in
     let model = Generator.generate spec in
-    let pairs = Workload.standard_programs model in
-    if w < 0 || w >= Array.length pairs then begin
-      Printf.eprintf "workload index out of range\n";
-      exit 1
-    end;
-    let workload, program = pairs.(w) in
+    let workload, program = (Workload.standard_programs model).(w) in
     let trace, stats = Engine.capture ~program ~workload ~words ~seed in
     Trace_file.save out trace;
     Printf.printf "wrote %s: %d events, %d instruction words (%s)\n" out

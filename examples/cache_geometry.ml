@@ -21,7 +21,7 @@ let () =
     let system = System.unified config in
     Replay.run_range ~trace ~map:(Program_layout.code_map layout)
       ~systems:[| system |]
-      ~warmup:(Trace.length trace / 5);
+      ~warmup_fraction:Replay.default_warmup_fraction;
     Counters.miss_rate (System.counters system)
   in
 

@@ -65,7 +65,7 @@ let () =
       let system = System.unified (Config.make ~size_kb:8 ()) in
       Replay.run_range ~trace ~map:(Program_layout.code_map layout)
         ~systems:[| system |]
-        ~warmup:(Trace.length trace / 5);
+        ~warmup_fraction:Replay.default_warmup_fraction;
       let c = System.counters system in
       if name = "Base" then base_misses := Counters.misses c;
       Table.add_row t

@@ -38,7 +38,7 @@ let () =
         Replay.run_range ~trace:cpu.Multiproc.trace
           ~map:(Program_layout.code_map layout)
           ~systems:[| system |]
-          ~warmup:(Trace.length cpu.Multiproc.trace / 5);
+          ~warmup_fraction:Replay.default_warmup_fraction;
         Counters.miss_rate (System.counters system)
       in
       let b = rate base and o = rate opt_s in

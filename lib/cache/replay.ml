@@ -13,7 +13,15 @@ let feed map systems ~image ~block =
 
 let run ~trace ~map ~systems = Trace.iter_exec trace (feed map systems)
 
-let run_range ~trace ~map ~systems ~warmup =
+let default_warmup_fraction = 0.2
+
+(* The warm-up counter advances only on executions, so the threshold
+   comes from Trace.exec_count: one derived from the marker-inclusive
+   Trace.length would drift with invocation-marker density. *)
+let run_range ~trace ~map ~systems ~warmup_fraction =
+  let warmup =
+    int_of_float (warmup_fraction *. float_of_int (Trace.exec_count trace))
+  in
   let i = ref 0 in
   Trace.iter_exec trace (fun ~image ~block ->
       feed map systems ~image ~block;

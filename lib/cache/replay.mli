@@ -16,11 +16,15 @@ val run : trace:Trace.t -> map:code_map -> systems:System.t array -> unit
 (** Feed every execution event to every system.  Systems accumulate
     counters; call {!System.reset} first to reuse one. *)
 
+val default_warmup_fraction : float
+(** 0.2: the share of a trace's executions that only warms the cache. *)
+
 val run_range :
   trace:Trace.t -> map:code_map -> systems:System.t array ->
-  warmup:int -> unit
-(** Like {!run} but resets all counters after the first [warmup]
-    {e execution} events (invocation markers do not advance the warm-up
-    counter — compute thresholds from {!Trace.exec_count}), so reported
-    numbers exclude the initial cold start (the paper's traces are
-    mid-execution snapshots with negligible first-time misses). *)
+  warmup_fraction:float -> unit
+(** Like {!run} but resets all counters after the first
+    [warmup_fraction] of the trace's {e execution} events
+    ({!Trace.exec_count}; invocation markers neither count nor advance
+    the warm-up), so reported numbers exclude the initial cold start (the
+    paper's traces are mid-execution snapshots with negligible first-time
+    misses).  This is the only place a warm-up threshold is computed. *)

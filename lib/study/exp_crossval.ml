@@ -19,33 +19,28 @@ type result = {
 let compute (ctx : Context.t) =
   let model = ctx.Context.model in
   let loops = Context.os_loops ctx in
-  let layout_from profile =
-    (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map
-  in
-  let misses_under os_map =
-    let layouts =
-      Array.map
-        (fun ((_ : Workload.t), program) ->
-          Program_layout.with_os_map
-            (Program_layout.base ~model ~program)
-            ~name:"xval" os_map ~os_meta:None)
-        ctx.Context.pairs
-    in
-    Runner.simulate_config ctx ~layouts ~config:(Config.make ~size_kb:8 ()) ()
-    |> Array.map (fun (r : Runner.run) -> Counters.misses r.Runner.counters)
+  let member profile =
+    let os_map = (Opt.os_layout ~model ~profile ~loops (Opt.params ())).Opt.map in
+    (Levels.with_os_map ctx ~name:"xval" os_map, Config.make ~size_kb:8 ())
   in
   let n = Context.workload_count ctx in
-  let per_profile =
-    Array.init n (fun i -> misses_under (layout_from ctx.Context.os_profiles.(i)))
+  (* Members 0..n-1: one layout per single-workload profile; member n:
+     the averaged profile's. *)
+  let misses =
+    Runner.simulate_batch ctx
+      ~members:
+        (Array.map member
+           (Array.append ctx.Context.os_profiles [| ctx.Context.avg_os_profile |]))
+      ()
+    |> Array.map (Array.map (fun (r : Runner.run) -> Counters.misses r.Runner.counters))
   in
-  let own = Array.init n (fun j -> per_profile.(j).(j)) in
-  let avg = misses_under (layout_from ctx.Context.avg_os_profile) in
+  let own = Array.init n (fun j -> misses.(j).(j)) in
   {
     names = Context.workload_names ctx;
     matrix =
       Array.init n (fun i ->
-          Array.init n (fun j -> Stats.ratio per_profile.(i).(j) own.(j)));
-    average_row = Array.init n (fun j -> Stats.ratio avg.(j) own.(j));
+          Array.init n (fun j -> Stats.ratio misses.(i).(j) own.(j)));
+    average_row = Array.init n (fun j -> Stats.ratio misses.(n).(j) own.(j));
   }
 
 let report ctx =

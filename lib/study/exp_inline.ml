@@ -61,14 +61,16 @@ let compute (ctx : Context.t) =
     let trace = Option.get traces.(i) in
     Replay.run_range ~trace ~map:(Program_layout.code_map layout)
       ~systems:[| system |]
-      ~warmup:(Trace.exec_count trace / 5);
+      ~warmup_fraction:Replay.default_warmup_fraction;
     Counters.miss_rate (System.counters system)
   in
   (* Reference: plain OptS on the original kernel, original traces. *)
   let opt_layouts = Levels.build ctx Levels.OptS in
   let reference =
-    Runner.simulate_config ctx ~layouts:opt_layouts
-      ~config:(Config.make ~size_kb:8 ()) ()
+    (Runner.simulate_batch ctx
+       ~members:[| (opt_layouts, Config.make ~size_kb:8 ()) |]
+       ())
+      .(0)
   in
   let rows =
     Array.mapi

@@ -41,7 +41,7 @@ let compute (ctx : Context.t) =
             Replay.run_range ~trace:c.Multiproc.trace
               ~map:(Program_layout.code_map layout)
               ~systems:[| system |]
-              ~warmup:(Trace.exec_count c.Multiproc.trace / 5);
+              ~warmup_fraction:Replay.default_warmup_fraction;
             Counters.miss_rate (System.counters system))
           r.Multiproc.cpus
       in

@@ -22,23 +22,18 @@ let compute (ctx : Context.t) =
           .Opt.map
     | other -> invalid_arg other
   in
-  let layouts_of name =
-    let map = os_map name in
-    Array.map
-      (fun ((_ : Workload.t), program) ->
-        Program_layout.with_os_map
-          (Program_layout.base ~model ~program)
-          ~name map ~os_meta:None)
-      ctx.Context.pairs
+  let config = Config.make ~size_kb:8 () in
+  let runs =
+    Runner.simulate_batch ctx
+      ~members:
+        (Array.of_list
+           (List.map (fun name -> (Levels.with_os_map ctx ~name (os_map name), config)) levels))
+      ()
   in
   let rates =
-    List.map
-      (fun name ->
-        let runs =
-          Runner.simulate_config ctx ~layouts:(layouts_of name)
-            ~config:(Config.make ~size_kb:8 ()) ()
-        in
-        (name, Array.map (fun (r : Runner.run) -> Counters.miss_rate r.Runner.counters) runs))
+    List.mapi
+      (fun k name ->
+        (name, Array.map (fun (r : Runner.run) -> Counters.miss_rate r.Runner.counters) runs.(k)))
       levels
   in
   Array.mapi

@@ -91,6 +91,8 @@ let build ctx ?(params = Opt.params ()) level =
           if not (Hashtbl.mem memo key) then Hashtbl.add memo key layouts);
       layouts
 
-let build_opt_s_with ctx ~params = build ctx ~params OptS
-
-let code_maps layouts = Array.map Program_layout.code_map layouts
+let with_os_map (ctx : Context.t) ~name os_map =
+  Array.map
+    (fun ((_ : Workload.t), program) ->
+      Program_layout.make ~name ~os_map ~os_meta:None (Program_layout.base_apps program))
+    ctx.Context.pairs

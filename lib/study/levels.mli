@@ -33,8 +33,8 @@ val build_uncached :
     domains.  Exposed for the staged-equals-monolithic equivalence
     tests. *)
 
-val build_opt_s_with : Context.t -> params:Opt.params -> Program_layout.t array
-(** OptS with explicit parameters (SelfConfFree sweeps, cache-size
-    variations). *)
-
-val code_maps : Program_layout.t array -> Replay.code_map array
+val with_os_map : Context.t -> name:string -> Address_map.t -> Program_layout.t array
+(** One layout per workload, in workload order: the given OS placement
+    (without {!Opt.result} metadata) with the applications in their
+    original order.  Not memoized; for experiments that only simulate OS
+    placement variants (ablations, baselines, perturbed profiles). *)

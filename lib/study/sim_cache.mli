@@ -7,7 +7,7 @@
     the trace identity (the context's digest over spec/words/seed), the
     per-workload layout digests ({!Program_layout.digest}), the cache
     geometry, the warm-up fraction and the attribution flag.  Equal keys
-    provably replay to equal results, so {!Runner.simulate_config} consults
+    provably replay to equal results, so {!Runner.simulate_batch} consults
     this table and the experiment suite stops re-simulating.
 
     Entries and lookups deep-copy counters and miss arrays, so callers may
@@ -24,8 +24,11 @@ type entry = {
   counters : Counters.t;
   os_block_misses : int array;
 }
-(** One workload's simulation result (mirrors [Runner.run], which lives
-    above this module in the dependency order). *)
+(** One workload's simulation result.  [Runner.run] re-exports this
+    type (the runner lives above this module in the dependency order). *)
+
+val copy : entry -> entry
+(** Deep copy. *)
 
 type key
 

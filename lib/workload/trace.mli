@@ -21,9 +21,9 @@ val length : t -> int
 (** Total event count, including invocation markers. *)
 
 val exec_count : t -> int
-(** Number of [Exec] events only.  Warm-up thresholds for
-    {!Replay.run_range} must come from this, not {!length}: the replay
-    counter advances only on executions, so a threshold computed from the
+(** Number of [Exec] events only.  {!Replay.run_range} derives its
+    warm-up threshold from this, not {!length}: the replay counter
+    advances only on executions, so a threshold computed from the
     marker-inclusive length would drift with marker density. *)
 
 val get : t -> int -> event

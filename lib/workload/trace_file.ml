@@ -28,17 +28,28 @@ let save path t =
         output_bytes oc b4
       done)
 
+let header_bytes = String.length magic + 8
+
 let load path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
+      let len = in_channel_length ic in
+      if len < header_bytes then invalid_arg "Trace_file.load: truncated header";
       let head = really_input_string ic (String.length magic) in
       if head <> magic then invalid_arg "Trace_file.load: bad magic";
       let b8 = Bytes.create 8 in
       really_input ic b8 0 8;
       let n = Int64.to_int (Bytes.get_int64_le b8 0) in
-      if n < 0 then invalid_arg "Trace_file.load: bad length";
+      (* Checked before allocating: a corrupt count must not reserve a
+         huge buffer, and a truncated body must not surface as
+         End_of_file halfway through. *)
+      let body = len - header_bytes in
+      if body mod 4 <> 0 || n <> body / 4 then
+        invalid_arg
+          (Printf.sprintf
+             "Trace_file.load: header claims %d events, file holds %d bytes" n len);
       let t = Trace.create ~capacity:(max 16 n) () in
       let b4 = Bytes.create 4 in
       for _ = 1 to n do

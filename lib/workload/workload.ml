@@ -93,7 +93,11 @@ let shell model =
     repeat_prob = 0.45;
   }
 
-let standard model = [| trfd_4 model; trfd_make model; arc2d_fsck model; shell model |]
+let standard_workloads = [| trfd_4; trfd_make; arc2d_fsck; shell |]
+
+let standard_count = Array.length standard_workloads
+
+let standard model = Array.map (fun w -> w model) standard_workloads
 
 let standard_programs model =
   let trfd = App_model.trfd () in

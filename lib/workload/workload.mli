@@ -41,6 +41,10 @@ val standard : Model.t -> t array
 (** The four paper workloads, in paper order.  The corresponding program
     images are built by {!standard_programs}. *)
 
+val standard_count : int
+(** [Array.length (standard model)] for every model: lets a caller check
+    a workload index before generating a kernel. *)
+
 val standard_programs : Model.t -> (t * Program.t) array
 (** Each workload paired with its {!Program.t} (OS + the right app
     images). *)

@@ -405,9 +405,41 @@ let test_replay_warmup () =
   let _, t, map = replay_fixture () in
   let sys = System.unified (Config.v ~size:1024 ~assoc:1 ~line:32) in
   (* Warm up over the whole trace: a second pass has no cold misses. *)
-  Replay.run_range ~trace:t ~map ~systems:[| sys |] ~warmup:(Trace.exec_count t);
+  Replay.run_range ~trace:t ~map ~systems:[| sys |] ~warmup_fraction:1.0;
   check_int "warmup discards all misses" 0 (Counters.misses (System.counters sys));
   check_int "and all refs" 0 (Counters.refs (System.counters sys))
+
+(* Invocation markers are not executions: interleaving them anywhere in a
+   trace must move neither the warm-up threshold nor any counter, for
+   every warm-up fraction. *)
+let prop_warmup_ignores_markers =
+  QCheck.Test.make ~count:200
+    ~name:"run_range counters unchanged by interleaved invocation markers"
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 300) (pair (int_bound 63) (int_bound 5)))
+        (float_bound_inclusive 1.0))
+    (fun (events, warmup_fraction) ->
+      let plain = Trace.create () and marked = Trace.create () in
+      List.iter
+        (fun (block, mark) ->
+          (match mark with
+          | 0 -> Trace.append marked (Trace.Invocation_start Service.Syscall)
+          | 1 -> Trace.append marked Trace.Invocation_end
+          | _ -> ());
+          let e = Trace.Exec { image = 0; block } in
+          Trace.append plain e;
+          Trace.append marked e)
+        events;
+      let map =
+        { Replay.addr = [| Array.init 64 (fun b -> b * 48) |]; bytes = [| Array.make 64 24 |] }
+      in
+      let counters trace =
+        let sys = System.unified (Config.v ~size:512 ~assoc:2 ~line:16) in
+        Replay.run_range ~trace ~map ~systems:[| sys |] ~warmup_fraction;
+        System.counters sys
+      in
+      counters plain = counters marked)
 
 (* ------------------------------------------------------------------ *)
 (* Stack_dist against a naive LRU stack                               *)
@@ -608,6 +640,7 @@ let () =
           case "run" test_replay_run;
           case "multiple systems" test_replay_multiple_systems;
           case "warmup" test_replay_warmup;
+          qcheck prop_warmup_ignores_markers;
           case "allocation-free kernels" test_replay_allocation_free;
         ] );
       ( "mattson",

@@ -191,22 +191,6 @@ let test_associativity_helps_base () =
   in
   check_bool "2-way below direct-mapped" true (misses 2 < misses 1)
 
-let test_simulate_config_shortcut () =
-  let c = ctx () in
-  let layouts = Levels.build c Levels.Base in
-  let a = Runner.simulate_config c ~layouts ~config:(Config.make ~size_kb:8 ()) () in
-  let b =
-    Runner.simulate c ~layouts ~system:(fun () ->
-        System.unified (Config.make ~size_kb:8 ()))
-      ()
-  in
-  Array.iteri
-    (fun i (ra : Runner.run) ->
-      check_int "same misses both ways"
-        (Counters.misses b.(i).Runner.counters)
-        (Counters.misses ra.Runner.counters))
-    a
-
 (* ------------------------------------------------------------------ *)
 (* Seqstat (Table 2)                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -330,7 +314,6 @@ let () =
           case "counters consistent" test_runner_counters_consistent;
           case "attribution" test_runner_attribution;
           case "warmup" test_runner_warmup_reduces_cold;
-          case "simulate_config" test_simulate_config_shortcut;
         ] );
       ( "headline",
         [

@@ -303,6 +303,42 @@ let test_trace_file_bad_magic () =
       check_raises_invalid "bad magic rejected" (fun () ->
           ignore (Trace_file.load path)))
 
+(* The header's event count is checked against the file size before
+   anything is read or allocated. *)
+let test_trace_file_truncated () =
+  let path = Filename.temp_file "icache_trace" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let t = Trace.create () in
+      for b = 0 to 9 do
+        Trace.append t (Trace.Exec { image = 0; block = b })
+      done;
+      Trace_file.save path t;
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub whole 0 (String.length whole - 6)));
+      check_raises_invalid "truncated body rejected" (fun () ->
+          ignore (Trace_file.load path));
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub whole 0 12));
+      check_raises_invalid "truncated header rejected" (fun () ->
+          ignore (Trace_file.load path)))
+
+let test_trace_file_huge_count () =
+  let path = Filename.temp_file "icache_trace" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let b8 = Bytes.create 8 in
+      Bytes.set_int64_le b8 0 (Int64.shift_left 1L 40);
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc Trace_file.magic;
+          output_bytes oc b8;
+          output_string oc "\000\000\000\000");
+      check_raises_invalid "2^40 events in a 20-byte file rejected" (fun () ->
+          ignore (Trace_file.load path)))
+
 let test_trace_raw_roundtrip () =
   let t = Trace.create () in
   Trace.append t (Trace.Exec { image = 2; block = 99 });
@@ -441,6 +477,8 @@ let () =
           case "round-trip" test_trace_file_roundtrip;
           case "replay equivalent" test_trace_file_replay_equivalent;
           case "bad magic" test_trace_file_bad_magic;
+          case "truncated file" test_trace_file_truncated;
+          case "header claims 2^40 events" test_trace_file_huge_count;
           case "raw round-trip" test_trace_raw_roundtrip;
         ] );
       ("noise", [ case "perturb" test_noise_perturb ]);

@@ -155,6 +155,9 @@ let test_workloads_standard () =
   let m = model () in
   let ws = Workload.standard m in
   check_int "four workloads" 4 (Array.length ws);
+  check_int "standard_count" (Array.length ws) Workload.standard_count;
+  check_int "one program per workload" Workload.standard_count
+    (Array.length (Workload.standard_programs m));
   Array.iter
     (fun (w : Workload.t) ->
       check_close 1e-9 "mix sums to 1" 1.0 (Stats.sum w.Workload.mix);
