@@ -1,4 +1,4 @@
-.PHONY: all build test check validate cli-errors trace bench clean
+.PHONY: all build test check validate cli-errors examples trace bench clean
 
 all: build
 
@@ -16,6 +16,7 @@ check: build
 	ICACHE_JOBS=4 dune runtest --force
 	$(MAKE) validate
 	$(MAKE) cli-errors
+	$(MAKE) examples
 
 # End-to-end check of the structured output path: run the full repro as
 # JSON and make sure every report parses back and the run manifest's
@@ -51,6 +52,14 @@ cli-errors: build
 	    echo "cli-errors: icache-opt $$args exited $$status, expected 124"; exit 1; \
 	  fi; \
 	done; echo "cli-errors: ok"
+
+# Run every example end to end; any non-zero exit fails the target.
+EXAMPLES = quickstart layout_explorer cache_geometry custom_workload multiprocessor
+
+examples: build
+	@for e in $(EXAMPLES); do \
+	  _build/default/examples/$$e.exe >/dev/null || { echo "examples: $$e failed"; exit 1; }; \
+	done; echo "examples: ok"
 
 # Capture a span timeline of the small repro and print its hot spans.
 # The Chrome-format trace lands in _build/trace.json: load it in

@@ -45,7 +45,7 @@ let () =
       Table.add_row t
         [
           Printf.sprintf "cpu%d" i;
-          Table.cell_i cpu.Multiproc.os_words;
+          Table.cell_i cpu.Multiproc.stats.Engine.os_words;
           Table.cell_i cpu.Multiproc.forced;
           Table.cell_f ~decimals:3 (100.0 *. b);
           Table.cell_f ~decimals:3 (100.0 *. o);

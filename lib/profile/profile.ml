@@ -37,10 +37,21 @@ let sinks ~program =
   in
   (profiles, sink)
 
-let collect ~program ~workload ~words ~seed =
-  let profiles, sink = sinks ~program in
+let capture ~program ~workload ~words ~seed =
+  let trace = Trace.create ~capacity:(words / 4) () in
+  let profiles, p = sinks ~program in
+  let t = Engine.trace_sink trace in
+  let sink =
+    {
+      Engine.on_exec =
+        (fun ~image ~block -> t.on_exec ~image ~block; p.on_exec ~image ~block);
+      on_arc = (fun ~image ~arc -> t.on_arc ~image ~arc; p.on_arc ~image ~arc);
+      on_invocation_start = (fun c -> t.on_invocation_start c; p.on_invocation_start c);
+      on_invocation_end = (fun () -> t.on_invocation_end (); p.on_invocation_end ());
+    }
+  in
   let stats = Engine.run ~program ~workload ~words ~seed ~sink in
-  (profiles, stats)
+  (trace, stats, profiles)
 
 let scale_to t target =
   let k = if t.total_blocks > 0.0 then target /. t.total_blocks else 0.0 in

@@ -14,14 +14,15 @@ type t = {
 
 val empty : Graph.t -> t
 
-val collect :
-  program:Program.t -> workload:Workload.t -> words:int -> seed:int ->
-  t array * Engine.stats
-(** Run the engine and gather one profile per image (index 0 = OS). *)
-
 val sinks : program:Program.t -> t array * Engine.sink
-(** The per-image profiles and an engine sink that fills them (for callers
-    that drive the engine themselves or combine sinks). *)
+(** The per-image profiles (index 0 = OS) and an engine sink that fills
+    them, for callers that profile without keeping a trace. *)
+
+val capture :
+  program:Program.t -> workload:Workload.t -> words:int -> seed:int ->
+  Trace.t * Engine.stats * t array
+(** {!Engine.run} recording the trace and one profile per image (index 0 =
+    OS) in the same pass. *)
 
 val scale_to : t -> float -> t
 (** Copy, rescaled so [total_blocks] equals the given value. *)

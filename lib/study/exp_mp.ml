@@ -48,7 +48,7 @@ let compute (ctx : Context.t) =
       let invocations =
         Array.fold_left
           (fun acc (c : Multiproc.cpu) ->
-            acc + Array.fold_left ( + ) 0 c.Multiproc.invocations)
+            acc + Array.fold_left ( + ) 0 c.Multiproc.stats.Engine.invocations)
           0 r.Multiproc.cpus
       in
       let forced =

@@ -2,14 +2,20 @@
     invocations, reproducing the reference streams the paper's hardware
     monitor captured.
 
-    Each OS invocation picks a service class from the workload mix, enters
-    the class's seed routine and walks the kernel graph to completion
-    (choosing the handler at the seed's dispatch block from the workload's
-    handler weights).  Between invocations the current application instance
-    runs; burst lengths self-regulate so the OS share of fetched words
-    converges to [workload.os_fraction].  Every [switch_period] invocations
-    a context switch (class [Other], handler 0) is forced and the next
-    runnable instance is scheduled. *)
+    The engine is one per-CPU core and two schedulers over it.  A {!cpu}
+    owns one processor's walkers and dispatch state: {!choose_class} picks
+    a service class from the workload mix and samples the handler its seed
+    dispatches to, {!invoke} walks the kernel graph from the class's seed
+    to completion, and {!app_burst} runs the current application instance
+    for as long as the OS-share rule allows (burst lengths self-regulate so
+    the OS share of fetched words converges to [workload.os_fraction]).
+
+    {!run} is the uniprocessor scheduler: invocations repeat the previous
+    (class, handler) pair with probability [workload.repeat_prob], and
+    every [switch_period] invocations a context switch (class [Other],
+    handler 0) is forced and the next runnable instance is scheduled
+    round-robin.  {!Multiproc.run} is the N-CPU scheduler over the same
+    core. *)
 
 type stats = {
   total_words : int;  (** Instruction words fetched. *)
@@ -32,7 +38,39 @@ val null_sink : sink
 val trace_sink : Trace.t -> sink
 (** Records every event into the trace buffer. *)
 
-val combine_sinks : sink list -> sink
+(** {1 The per-CPU core} *)
+
+type cpu
+
+val create_cpu :
+  program:Program.t -> workload:Workload.t -> instances:int array ->
+  g_class:Prng.t -> g_os:Prng.t -> g_app:Prng.t -> sink:sink -> cpu
+(** A processor running the application [instances] (image indices).
+    [g_class] drives class and handler choice and stays shared with the
+    scheduler, which draws its own decisions from it; [g_os] drives the
+    kernel walk; each instance's walker gets a stream split from [g_app],
+    in instance order.  Every event goes to [sink]. *)
+
+val choose_class : cpu -> int * int
+(** A service class index drawn from the workload mix, then the handler
+    index sampled from that class's handler weights. *)
+
+val invoke : cpu -> int -> handler:int -> unit
+(** One OS invocation of the class, its seed dispatching to [handler]. *)
+
+val app_burst : cpu -> int -> bool
+(** [app_burst cpu slot] runs instance [slot mod n] until the OS share of
+    the CPU's words is back at the workload target, capped so a long burst
+    never starves OS activity.  Returns whether a burst ran (false on a
+    CPU without instances, at an OS share of 1, or when the application is
+    already ahead). *)
+
+val words : cpu -> int
+(** Instruction words emitted so far. *)
+
+val stats : cpu -> context_switches:int -> stats
+
+(** {1 Uniprocessor} *)
 
 val run :
   program:Program.t -> workload:Workload.t -> words:int -> seed:int ->

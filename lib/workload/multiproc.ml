@@ -1,196 +1,87 @@
-(* Multiprocessor tracing: the paper's testbed is a 4-CPU Alliant FX/8
-   with one instruction cache per processor; every reported number is the
-   average of the four processors.
+(* The N-CPU scheduler over Engine's per-CPU core: CPUs interleave by
+   words traced and couple through cross-processor interrupts. *)
 
-   Each CPU runs its own interleaving of application execution and OS
-   invocations (its own walkers and PRNG stream over the shared kernel
-   image).  Cross-processor interrupts couple the streams: with
-   probability [xcall_prob], an invocation on one CPU forces an
-   interrupt-class invocation (the cross-processor interrupt handler,
-   index 1 when present) on every other CPU before that CPU continues -
-   the mechanism behind TRFD_4's interrupt-dominated profile. *)
+type cpu = { trace : Trace.t; stats : Engine.stats; forced : int }
 
-type cpu = {
+type result = { cpus : cpu array; xcalls_sent : int }
+
+(* One processor's scheduler state around its engine core. *)
+type proc = {
+  core : Engine.cpu;
   trace : Trace.t;
-  mutable os_words : int;
-  mutable app_words : int;
-  invocations : int array;
+  g_class : Prng.t;
+  mutable pending : int;  (** Cross-processor interrupts queued. *)
   mutable forced : int;  (** Cross-processor interrupts served. *)
-  mutable pending_xcalls : int;
+  mutable bursts : int;  (** Application bursts run: the round-robin slot. *)
 }
 
-type result = {
-  cpus : cpu array;
-  xcalls_sent : int;
-}
-
-let words cpu = cpu.os_words + cpu.app_words
-
-let run ~program ~workload ~cpus:n_cpus ~words_per_cpu ~seed ?(xcall_prob = 0.0) () =
-  if n_cpus < 1 then invalid_arg "Multiproc.run: need at least one CPU";
-  let os = program.Program.os in
+let run ~program ~workload ~cpus:n ~words_per_cpu ~seed ?(xcall_prob = 0.0) () =
+  if n < 1 then invalid_arg "Multiproc.run: need at least one CPU";
   let master = Prng.of_int seed in
+  let interrupt = Service.index Service.Interrupt in
+  (* The cross-processor interrupt handler, index 1 when present. *)
+  let xcall_handler =
+    min 1 (Array.length program.Program.os.Model.handlers.(interrupt) - 1)
+  in
+  let instances = Array.to_list workload.Workload.app_instances in
+  let procs =
+    Array.init n (fun i ->
+        let g_class = Prng.split master in
+        let g_os = Prng.split master in
+        let g_app = Prng.split master in
+        (* This CPU owns the app instances congruent to its index. *)
+        let instances =
+          Array.of_list (List.filteri (fun k _ -> k mod n = i) instances)
+        in
+        let trace = Trace.create ~capacity:(words_per_cpu / 4) () in
+        let core =
+          Engine.create_cpu ~program ~workload ~instances ~g_class ~g_os ~g_app
+            ~sink:(Engine.trace_sink trace)
+        in
+        { core; trace; g_class; pending = 0; forced = 0; bursts = 0 })
+  in
   let xcalls_sent = ref 0 in
-
-  let words_of =
-    Array.init (Program.image_count program) (fun i ->
-        let g = Program.graph program i in
-        Array.init (Graph.block_count g) (fun b ->
-            Block.instruction_words (Graph.block g b)))
-  in
-
-  (* Shared dispatch structure (as in Engine.run). *)
-  let dispatch_class = Hashtbl.create 8 in
-  let arcs_by_handler =
-    Array.map
-      (fun (d : Model.dispatch) ->
-        let arr = Array.make (Array.length d.Model.arcs) (-1) in
-        Array.iter (fun (a, hi) -> arr.(hi) <- a) d.Model.arcs;
-        arr)
-      os.Model.dispatches
-  in
-  Array.iteri
-    (fun ci (d : Model.dispatch) -> Hashtbl.add dispatch_class d.Model.block ci)
-    os.Model.dispatches;
-
-  let instances = workload.Workload.app_instances in
-  let class_choices = Array.mapi (fun i p -> (i, p)) workload.Workload.mix in
-
-  let make_cpu cpu_index =
-    let g_class = Prng.split master in
-    let g_os = Prng.split master in
-    let g_app = Prng.split master in
-    let cpu =
-      {
-        trace = Trace.create ~capacity:(words_per_cpu / 4) ();
-        os_words = 0;
-        app_words = 0;
-        invocations = Array.make Service.count 0;
-        forced = 0;
-        pending_xcalls = 0;
-      }
-    in
-    let current_handler = Array.make Service.count 0 in
-    let os_choose b _arcs =
-      match Hashtbl.find_opt dispatch_class b with
-      | None -> None
-      | Some ci -> Some arcs_by_handler.(ci).(current_handler.(ci))
-    in
-    let os_walker =
-      Walker.create ~graph:os.Model.graph ~arc_prob:os.Model.arc_prob ~prng:g_os
-        ~choose:os_choose ()
-    in
-    (* This CPU owns the app instances congruent to its index. *)
-    let my_instances =
-      Array.of_list
-        (List.filteri
-           (fun k _ -> k mod n_cpus = cpu_index)
-           (Array.to_list instances))
-    in
-    let app_walkers =
-      Array.map
-        (fun image ->
-          Walker.create ~graph:(Program.graph program image)
-            ~arc_prob:(Program.arc_prob program image)
-            ~prng:(Prng.split g_app) ())
-        my_instances
-    in
-    let current = ref 0 in
-    let sample_handler ci =
-      let w = workload.Workload.handler_weights.(ci) in
-      let total = Array.fold_left ( +. ) 0.0 w in
-      if total <= 0.0 then 0
-      else begin
-        let u = Prng.unit_float g_class *. total in
-        let rec scan i acc =
-          if i >= Array.length w - 1 then i
-          else
-            let acc = acc +. w.(i) in
-            if u < acc then i else scan (i + 1) acc
-        in
-        scan 0 0.0
-      end
-    in
-    let run_invocation ?handler ci =
-      cpu.invocations.(ci) <- cpu.invocations.(ci) + 1;
-      (match handler with
-      | Some h -> current_handler.(ci) <- h
-      | None -> current_handler.(ci) <- sample_handler ci);
-      Trace.append cpu.trace (Trace.Invocation_start (Service.of_index ci));
-      let info = Model.seed_for os (Service.of_index ci) in
-      Walker.start os_walker info.Model.entry;
-      let rec go () =
-        match Walker.step os_walker with
-        | None -> ()
-        | Some b ->
-            Trace.append cpu.trace (Trace.Exec { image = Program.os_image; block = b });
-            cpu.os_words <- cpu.os_words + words_of.(0).(b);
-            go ()
-      in
-      go ();
-      Trace.append cpu.trace Trace.Invocation_end
-    in
-    let run_app_burst budget =
-      if Array.length my_instances > 0 && budget > 0 then begin
-        let w = app_walkers.(!current mod Array.length app_walkers) in
-        let image = my_instances.(!current mod Array.length my_instances) in
-        let main =
-          Graph.entry_of
-            (Program.graph program image)
-            program.Program.apps.(image - 1).App_model.main
-        in
-        let emitted = ref 0 in
-        while !emitted < budget do
-          if not (Walker.active w) then Walker.start w main;
-          match Walker.step w with
-          | None -> ()
-          | Some b ->
-              Trace.append cpu.trace (Trace.Exec { image; block = b });
-              let n = words_of.(image).(b) in
-              emitted := !emitted + n;
-              cpu.app_words <- cpu.app_words + n
-        done;
-        incr current
-      end
-    in
-    let step () =
+  let step i p =
+    if p.pending > 0 then begin
       (* Serve forced cross-processor interrupts first. *)
-      if cpu.pending_xcalls > 0 then begin
-        cpu.pending_xcalls <- cpu.pending_xcalls - 1;
-        cpu.forced <- cpu.forced + 1;
-        let ci = Service.index Service.Interrupt in
-        let handler = min 1 (Array.length os.Model.handlers.(ci) - 1) in
-        run_invocation ~handler ci;
-        false
-      end
-      else begin
-        let ci = Prng.choose_weighted g_class class_choices in
-        run_invocation ci;
-        let f = workload.Workload.os_fraction in
-        if Array.length my_instances > 0 && f < 1.0 then begin
-          let desired = int_of_float (float_of_int cpu.os_words *. (1.0 -. f) /. f) in
-          run_app_burst (min 30_000 (desired - cpu.app_words))
-        end;
-        Prng.bernoulli g_class xcall_prob
-      end
-    in
-    (cpu, step)
-  in
-
-  let machines = Array.init n_cpus make_cpu in
-  let cpus = Array.map fst machines in
-  let unfinished () = Array.exists (fun c -> words c < words_per_cpu) cpus in
-  while unfinished () do
-    (* Advance the CPU that is furthest behind (time-interleaving). *)
-    let next = ref 0 in
-    Array.iteri (fun i c -> if words c < words cpus.(!next) then next := i) cpus;
-    let _, step = machines.(!next) in
-    if step () then begin
-      (* Broadcast a cross-processor interrupt. *)
-      Array.iteri
-        (fun i c -> if i <> !next then c.pending_xcalls <- c.pending_xcalls + 1)
-        cpus;
-      incr xcalls_sent
+      p.pending <- p.pending - 1;
+      p.forced <- p.forced + 1;
+      Engine.invoke p.core interrupt ~handler:xcall_handler
     end
-  done;
-  { cpus; xcalls_sent = !xcalls_sent }
+    else begin
+      let ci, handler = Engine.choose_class p.core in
+      Engine.invoke p.core ci ~handler;
+      if Engine.app_burst p.core p.bursts then p.bursts <- p.bursts + 1;
+      if Prng.bernoulli p.g_class xcall_prob then begin
+        (* Broadcast a cross-processor interrupt to every other CPU. *)
+        Array.iteri (fun j q -> if j <> i then q.pending <- q.pending + 1) procs;
+        incr xcalls_sent
+      end
+    end
+  in
+  (* Advance the CPU that is furthest behind (time-interleaving) until
+     every CPU has its words. *)
+  let rec loop () =
+    let next = ref 0 in
+    Array.iteri
+      (fun i p -> if Engine.words p.core < Engine.words procs.(!next).core then next := i)
+      procs;
+    let p = procs.(!next) in
+    if Engine.words p.core < words_per_cpu then begin
+      step !next p;
+      loop ()
+    end
+  in
+  loop ();
+  {
+    cpus =
+      Array.map
+        (fun p ->
+          {
+            trace = p.trace;
+            stats = Engine.stats p.core ~context_switches:0;
+            forced = p.forced;
+          })
+        procs;
+    xcalls_sent = !xcalls_sent;
+  }

@@ -2,29 +2,29 @@
 
     The paper's testbed is a 4-CPU Alliant FX/8 with one instruction cache
     per processor; every reported number is the average of the four
-    processors.  [run] traces [cpus] processors time-sharing the same
-    kernel image: each CPU interleaves its own application instances (the
-    workload's instances are dealt round-robin across CPUs) with OS
-    invocations, and cross-processor interrupts couple the streams - with
-    probability [xcall_prob] an invocation broadcasts a forced
+    processors.  [run] is the N-CPU scheduler over {!Engine}'s per-CPU
+    core, the same core {!Engine.run} schedules on one processor: each CPU
+    gets its own core (walkers and PRNG streams over the shared kernel
+    image) and the workload's application instances dealt round-robin
+    across CPUs.  The CPU that has traced the fewest words runs next; it
+    either serves a queued cross-processor interrupt or runs one OS
+    invocation from the workload mix followed by an application burst.
+    With probability [xcall_prob] such an invocation broadcasts a forced
     interrupt-class invocation (the cross-processor handler) to every
-    other CPU, the mechanism behind TRFD_4's interrupt-dominated mix. *)
+    other CPU, the mechanism behind TRFD_4's interrupt-dominated mix.
+    There are no forced context switches: each CPU advances to its next
+    instance after every burst. *)
 
 type cpu = {
   trace : Trace.t;
-  mutable os_words : int;
-  mutable app_words : int;
-  invocations : int array;  (** Per service class. *)
-  mutable forced : int;  (** Cross-processor interrupts served. *)
-  mutable pending_xcalls : int;
+  stats : Engine.stats;  (** [context_switches] is always 0. *)
+  forced : int;  (** Cross-processor interrupts served. *)
 }
 
 type result = { cpus : cpu array; xcalls_sent : int }
 
-val words : cpu -> int
-(** Instruction words traced so far on this CPU. *)
-
 val run :
   program:Program.t -> workload:Workload.t -> cpus:int -> words_per_cpu:int ->
   seed:int -> ?xcall_prob:float -> unit -> result
-(** Deterministic in [seed].  @raise Invalid_argument if [cpus < 1]. *)
+(** Trace until every CPU has at least [words_per_cpu] words.
+    Deterministic in [seed].  @raise Invalid_argument if [cpus < 1]. *)

@@ -183,7 +183,8 @@ let test_mp_word_budget () =
   check_int "four cpus" 4 (Array.length r.Multiproc.cpus);
   Array.iter
     (fun (c : Multiproc.cpu) ->
-      check_bool "per-cpu budget met" true (Multiproc.words c >= 20_000))
+      check_bool "per-cpu budget met" true
+        (c.Multiproc.stats.Engine.total_words >= 20_000))
     r.Multiproc.cpus
 
 let test_mp_invalid_cpus () =
@@ -216,9 +217,14 @@ let test_mp_determinism () =
   let a = mp_result () and b = mp_result () in
   Array.iteri
     (fun i (c : Multiproc.cpu) ->
-      check_int "same trace length" (Trace.length c.Multiproc.trace)
-        (Trace.length b.Multiproc.cpus.(i).Multiproc.trace))
-    a.Multiproc.cpus
+      let c' = b.Multiproc.cpus.(i) in
+      check_bool "identical event streams" true
+        (Trace.events_to_list c.Multiproc.trace
+        = Trace.events_to_list c'.Multiproc.trace);
+      check_bool "identical stats" true (c.Multiproc.stats = c'.Multiproc.stats);
+      check_int "same forced" c.Multiproc.forced c'.Multiproc.forced)
+    a.Multiproc.cpus;
+  check_int "same broadcasts" a.Multiproc.xcalls_sent b.Multiproc.xcalls_sent
 
 let test_mp_traces_are_balanced_invocations () =
   let r = mp_result () in

@@ -248,25 +248,43 @@ let test_engine_os_fraction () =
   in
   check_close 0.08 "OS share converges to target" w.Workload.os_fraction actual
 
+(* Each Multiproc CPU is one more engine run: the same core, scheduled by
+   the N-CPU scheduler. *)
+let mp_cpus () =
+  let w, p = (Workload.standard_programs (model ())).(0) in
+  let r =
+    Multiproc.run ~program:p ~workload:w ~cpus:4 ~words_per_cpu:20_000 ~seed:5
+      ~xcall_prob:0.5 ()
+  in
+  ( p,
+    Array.to_list
+      (Array.map
+         (fun (c : Multiproc.cpu) -> (c.Multiproc.trace, c.Multiproc.stats))
+         r.Multiproc.cpus) )
+
 let test_engine_invocation_markers_balanced () =
-  let _, _, (trace, stats) = run_one 0 in
-  let starts = ref 0 and ends = ref 0 and depth_bad = ref false in
-  let depth = ref 0 in
-  Trace.iter trace (fun e ->
-      match e with
-      | Trace.Invocation_start _ ->
-          incr starts;
-          incr depth;
-          if !depth > 1 then depth_bad := true
-      | Trace.Invocation_end ->
-          incr ends;
-          decr depth;
-          if !depth < 0 then depth_bad := true
-      | Trace.Exec _ -> ());
-  check_bool "markers never nest or underflow" false !depth_bad;
-  check_bool "starts within one of ends" true (abs (!starts - !ends) <= 1);
-  check_int "stats count the invocations" !starts
-    (Array.fold_left ( + ) 0 stats.Engine.invocations)
+  let _, _, run = run_one 0 in
+  let _, cpus = mp_cpus () in
+  List.iter
+    (fun (trace, stats) ->
+      let starts = ref 0 and ends = ref 0 and depth_bad = ref false in
+      let depth = ref 0 in
+      Trace.iter trace (fun e ->
+          match e with
+          | Trace.Invocation_start _ ->
+              incr starts;
+              incr depth;
+              if !depth > 1 then depth_bad := true
+          | Trace.Invocation_end ->
+              incr ends;
+              decr depth;
+              if !depth < 0 then depth_bad := true
+          | Trace.Exec _ -> ());
+      check_bool "markers never nest or underflow" false !depth_bad;
+      check_bool "starts within one of ends" true (abs (!starts - !ends) <= 1);
+      check_int "stats count the invocations" !starts
+        (Array.fold_left ( + ) 0 stats.Engine.invocations))
+    (run :: cpus)
 
 let test_engine_determinism () =
   let _, _, (t1, s1) = run_one ~seed:5 2 in
@@ -308,37 +326,155 @@ let test_engine_context_switches () =
     check_bool "context switches happen" true (stats.Engine.context_switches > 0)
 
 let test_engine_trace_agrees_with_stats () =
-  let _, p, (trace, stats) = run_one 1 in
-  let os = ref 0 and app = ref 0 in
-  Trace.iter_exec trace (fun ~image ~block ->
-      let words = Block.instruction_words (Graph.block (Program.graph p image) block) in
-      if Program.is_os image then os := !os + words else app := !app + words);
-  check_int "os words agree" stats.Engine.os_words !os;
-  check_int "app words agree" stats.Engine.app_words !app
+  let _, p, run = run_one 1 in
+  let mp, cpus = mp_cpus () in
+  List.iter
+    (fun (p, (trace, stats)) ->
+      let os = ref 0 and app = ref 0 in
+      Trace.iter_exec trace (fun ~image ~block ->
+          let words =
+            Block.instruction_words (Graph.block (Program.graph p image) block)
+          in
+          if Program.is_os image then os := !os + words else app := !app + words);
+      check_int "os words agree" stats.Engine.os_words !os;
+      check_int "app words agree" stats.Engine.app_words !app;
+      check_int "total is os + app" stats.Engine.total_words (!os + !app))
+    ((p, run) :: List.map (fun c -> (mp, c)) cpus)
 
+(* Profile.capture feeds one engine run to both the trace buffer and the
+   per-image profiles: each sees the whole stream. *)
 let test_engine_combine_sinks () =
   let m = model () in
   let pairs = Workload.standard_programs m in
   let w, p = pairs.(0) in
-  let execs = ref 0 and invs = ref 0 in
-  let counting =
-    {
-      Engine.on_exec = (fun ~image:_ ~block:_ -> incr execs);
-      on_arc = (fun ~image:_ ~arc:_ -> ());
-      on_invocation_start = (fun _ -> incr invs);
-      on_invocation_end = (fun () -> ());
-    }
+  let trace, stats, profiles =
+    Profile.capture ~program:p ~workload:w ~words:30_000 ~seed:3
   in
-  let t = Trace.create () in
-  let sink = Engine.combine_sinks [ counting; Engine.trace_sink t ] in
-  let stats = Engine.run ~program:p ~workload:w ~words:30_000 ~seed:3 ~sink in
-  check_bool "counting sink saw execs" true (!execs > 0);
-  check_int "counting sink saw the invocations"
-    (Array.fold_left ( + ) 0 stats.Engine.invocations)
-    !invs;
-  let trace_execs = ref 0 in
-  Trace.iter_exec t (fun ~image:_ ~block:_ -> incr trace_execs);
-  check_int "both sinks saw the same stream" !execs !trace_execs
+  let alone, alone_stats =
+    Engine.capture ~program:p ~workload:w ~words:30_000 ~seed:3
+  in
+  check_bool "same trace as Engine.capture" true
+    (Trace.events_to_list trace = Trace.events_to_list alone);
+  check_bool "same stats as Engine.capture" true (stats = alone_stats);
+  let counts =
+    Array.map
+      (fun (pr : Profile.t) -> Array.make (Array.length pr.Profile.block) 0.0)
+      profiles
+  in
+  Trace.iter_exec trace (fun ~image ~block ->
+      counts.(image).(block) <- counts.(image).(block) +. 1.0);
+  Array.iteri
+    (fun image (pr : Profile.t) ->
+      check_bool "profile counts the traced executions" true
+        (pr.Profile.block = counts.(image)))
+    profiles;
+  check_float "profile saw the invocations"
+    (float_of_int (Array.fold_left ( + ) 0 stats.Engine.invocations))
+    profiles.(Program.os_image).Profile.invocations
+
+(* ------------------------------------------------------------------ *)
+(* Event-level pins                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Digests of every event both schedulers emit, with their stats.  The
+   goldens see the engines only through rounded miss rates; these pin the
+   exact event streams, so any change to an event or to the order of PRNG
+   draws breaks them. *)
+
+let add_trace buf t =
+  for i = 0 to Trace.length t - 1 do
+    Buffer.add_int64_le buf (Int64.of_int (Trace.raw t i))
+  done
+
+let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+let engine_pin which seed =
+  let w, p = (Workload.standard_programs (model ())).(which) in
+  let trace, s = Engine.capture ~program:p ~workload:w ~words:200_000 ~seed in
+  let buf = Buffer.create (8 * Trace.length trace) in
+  add_trace buf trace;
+  ( Digest.to_hex (Digest.string (Buffer.contents buf)),
+    Printf.sprintf "total=%d os=%d app=%d inv=%s sw=%d" s.Engine.total_words
+      s.Engine.os_words s.Engine.app_words (ints s.Engine.invocations)
+      s.Engine.context_switches )
+
+let mp_pin ?os_fraction cpus xcall_prob =
+  let buf = Buffer.create 4096 in
+  Array.iteri
+    (fun i ((w : Workload.t), p) ->
+      let w =
+        match os_fraction with None -> w | Some f -> { w with Workload.os_fraction = f }
+      in
+      let r =
+        Multiproc.run ~program:p ~workload:w ~cpus ~words_per_cpu:30_000
+          ~seed:(5 + i) ~xcall_prob ()
+      in
+      Buffer.add_string buf (Printf.sprintf "sent=%d;" r.Multiproc.xcalls_sent);
+      Array.iter
+        (fun (c : Multiproc.cpu) ->
+          let s = c.Multiproc.stats in
+          add_trace buf c.Multiproc.trace;
+          Buffer.add_string buf
+            (Printf.sprintf "os=%d app=%d inv=%s forced=%d;" s.Engine.os_words
+               s.Engine.app_words (ints s.Engine.invocations) c.Multiproc.forced))
+        r.Multiproc.cpus)
+    (Workload.standard_programs (model ()));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_engine_pins () =
+  List.iter
+    (fun (which, seed, digest, stats) ->
+      let d, s = engine_pin which seed in
+      let name = Printf.sprintf "workload %d seed %d" which seed in
+      check_string (name ^ " stats") stats s;
+      check_string (name ^ " events") digest d)
+    [
+      (0, 3, "abc9a0f027830c460fc6bcb5902f0bd6",
+       "total=200778 os=116451 app=84327 inv=272,85,0,11 sw=6");
+      (1, 3, "bf812bf859fa557888bb833ccd8dd7ed",
+       "total=200141 os=100070 app=100071 inv=144,59,51,9 sw=5");
+      (2, 3, "82671d5073cdfb81927778c2bdffed8d",
+       "total=200158 os=88066 app=112092 inv=257,79,10,15 sw=7");
+      (3, 3, "c4df76906ec15beb5d8db8c75f608c3b",
+       "total=200964 os=200964 app=0 inv=54,18,191,9 sw=0");
+      (0, 7, "2f229aef35d6290765bde019b1292b5b",
+       "total=200017 os=116009 app=84008 inv=267,103,0,18 sw=6");
+      (1, 7, "ff739ea728c88bd42618f73d04e9b8a1",
+       "total=200273 os=100135 app=100138 inv=192,91,26,23 sw=7");
+      (2, 7, "bd97cab46e196946a96d0a85195f3204",
+       "total=202205 os=88968 app=113237 inv=264,86,15,14 sw=7");
+      (3, 7, "37e66b96dab18692dfd5bf274b59669c",
+       "total=200907 os=200907 app=0 inv=106,29,155,11 sw=0");
+    ]
+
+let test_mp_pins () =
+  let check ?os_fraction (cpus, xcall_prob, digest) =
+    check_string
+      (Printf.sprintf "%d cpus, xcall_prob %g" cpus xcall_prob)
+      digest
+      (mp_pin ?os_fraction cpus xcall_prob)
+  in
+  List.iter check
+    [
+      (1, 0.0, "9b0f6b52c5c9224a488e8ba9c6355d88");
+      (1, 0.5, "7f835ea55bcde0000e01dcacc5180c10");
+      (2, 0.0, "9c7c4f75bc0849e3f61460b2075c0db1");
+      (2, 0.5, "23c293fb4f31aa0e00ecfd79c2a53adf");
+      (4, 0.0, "feb650e68ca2f13b592cd67172e4386f");
+      (4, 0.5, "47a9c74c837cc7fae1ea781eb7557210");
+    ];
+  (* At an OS share near 1 the application is often already ahead, so
+     bursts get skipped; a CPU moves to its next instance only after a
+     burst that ran. *)
+  List.iter (check ~os_fraction:0.97)
+    [
+      (1, 0.0, "b3f3124ed8b84c1fb1ef1d5844880314");
+      (1, 0.5, "c9891d084fa5b900e17ca5201752ae38");
+      (2, 0.0, "f6f8f9b287475af5237bcd76854c8727");
+      (2, 0.5, "86b66c4ef30e52903802eb604e3826c8");
+      (4, 0.0, "41907baba7b0855b5382fb350370cd70");
+      (4, 0.5, "3590a65b86881ec7da220645af55259d");
+    ]
 
 let () =
   Alcotest.run "workload"
@@ -377,5 +513,10 @@ let () =
           case "context switches" test_engine_context_switches;
           case "trace agrees with stats" test_engine_trace_agrees_with_stats;
           case "combine sinks" test_engine_combine_sinks;
+        ] );
+      ( "pins",
+        [
+          case "engine event streams" test_engine_pins;
+          case "multiproc event streams" test_mp_pins;
         ] );
     ]
