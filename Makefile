@@ -1,4 +1,4 @@
-.PHONY: all build test check validate cli-errors examples trace bench clean
+.PHONY: all build test check validate cli-errors examples trace clean
 
 all: build
 
@@ -19,15 +19,22 @@ check: build
 	$(MAKE) examples
 
 # End-to-end check of the structured output path: run the full repro as
-# JSON and make sure every report parses back and the run manifest's
-# invariants hold (stage seconds >= 0, sim-cache hits + misses = lookups,
-# batch cache_hits + simulated <= members, per layout stage
-# hits + misses = lookups with seconds >= 0, metrics counters consistent,
-# GC sample present).  The same runs record a span trace (--trace), which
-# is then validated too: begin/end balanced per track, durations
-# non-negative, no unclosed spans.  Run single- and multi-domain so the
-# fused batch replay, the parallel staged layout builds and the
-# per-worker trace tracks are validated under both fan-out modes.
+# JSON and make sure every report parses back, has its experiment.<id>
+# stage row, and the schema v5 run manifest's invariants hold (stage
+# seconds >= 0, every metrics hits + misses = lookups trio, counters
+# >= 0, each batch field equal to its batch.<field> counter, batch
+# cache_hits + simulated <= members, GC sample present).  The same runs
+# record a span trace (--trace), which is then validated too: begin/end
+# balanced per track, durations non-negative, no unclosed spans.  Run
+# single- and multi-domain so the fused batch replay, the parallel staged
+# layout builds and the per-worker trace tracks are validated under both
+# fan-out modes.  Then each fixture under test/validate/, which breaks
+# one invariant, must be rejected: exit 1 with an `invalid:` line that
+# matches the pattern paired with it below (`.` stands for a space).
+VALIDATE_REJECTS = v4_manifest:schema_version.4 trio_mismatch:'<>.lookups.3' \
+  batch_not_counter:batch:.members missing_experiment_row:no.experiment.robust \
+  unclosed_span:unclosed.span
+
 validate: build
 	ICACHE_JOBS=1 _build/default/bin/icache_opt.exe repro --small --words 60000 --format json \
 	  --trace _build/trace_j1.json \
@@ -37,6 +44,13 @@ validate: build
 	  --trace _build/trace_j4.json \
 	  | _build/default/bin/icache_opt.exe validate
 	_build/default/bin/icache_opt.exe validate _build/trace_j4.json
+	@for case in $(VALIDATE_REJECTS); do \
+	  f=test/validate/$${case%%:*}.json; want=$${case#*:}; status=0; \
+	  err=$$(_build/default/bin/icache_opt.exe validate $$f 2>&1 >/dev/null) || status=$$?; \
+	  if [ $$status -ne 1 ] || ! echo "$$err" | grep -q "^invalid: .*$$want"; then \
+	    echo "validate: $$f exited $$status ($$err), expected 1 with invalid: ...$$want"; exit 1; \
+	  fi; \
+	done; echo "validate: rejection fixtures ok"
 
 # Bad command-line input is a usage error (exit 124), never an uncaught
 # exception (125) or a silent success (0): invalid cache geometries, a
@@ -67,9 +81,6 @@ examples: build
 trace: build
 	_build/default/bin/icache_opt.exe repro --small --trace _build/trace.json
 	_build/default/bin/icache_opt.exe trace-summary _build/trace.json
-
-bench:
-	dune exec bench/main.exe -- --no-timing
 
 clean:
 	dune clean

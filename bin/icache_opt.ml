@@ -714,17 +714,17 @@ let validate_cmd =
         exit 1)
       fmt
   in
-  let get_int what j =
-    match Json.to_int j with Some i -> i | None -> fail "%s: expected an integer" what
+  (* The member [key] of [j], converted by [conv]; [what] names [j] in
+     the error. *)
+  let field what j key conv =
+    match Json.member key j with
+    | None -> fail "%s: missing %s" what key
+    | Some v -> (
+        match conv v with Some x -> x | None -> fail "%s: %s has the wrong type" what key)
   in
-  let get_float what j =
-    match Json.to_float j with Some f -> f | None -> fail "%s: expected a number" what
-  in
-  let get_str what j =
-    match Json.to_str j with Some s -> s | None -> fail "%s: expected a string" what
-  in
-  (* Shared by the manifest path (schema v4 embeds a snapshot) and the
-     trace path (--trace files carry one under "metrics"). *)
+  (* Shared by the manifest path (which embeds a snapshot) and the trace
+     path (--trace files carry one under "metrics").  Returns the
+     counters. *)
   let check_metrics mx =
     let counters =
       match Json.member "counters" mx with
@@ -761,167 +761,74 @@ let validate_cmd =
               fail "metrics: %s hits %d + misses %d <> lookups %d" prefix h m l
         | _ -> fail "metrics: incomplete %s hits/misses/lookups trio" prefix)
       (List.sort_uniq compare (List.filter_map (fun (n, _) -> trio_prefix n) counters));
-    match Json.member "histograms" mx with
+    (match Json.member "histograms" mx with
     | Some (Json.Obj hs) ->
         List.iter
           (fun (n, h) ->
-            let gf field =
-              match Option.bind (Json.member field h) Json.to_float with
-              | Some f -> f
-              | None -> fail "metrics histogram %s: missing %s" n field
-            in
-            let count =
-              match Option.bind (Json.member "count" h) Json.to_int with
-              | Some c -> c
-              | None -> fail "metrics histogram %s: missing count" n
-            in
-            if count < 0 then fail "metrics histogram %s: count %d < 0" n count;
+            let what = "metrics histogram " ^ n in
+            let gf key = field what h key Json.to_float in
+            let count = field what h "count" Json.to_int in
+            if count < 0 then fail "%s: count %d < 0" what count;
             let p50 = gf "p50" and p90 = gf "p90" and p99 = gf "p99" in
             if not (p50 <= p90 && p90 <= p99) then
-              fail "metrics histogram %s: percentiles not monotone (%g/%g/%g)" n p50
-                p90 p99;
-            if count > 0 && not (gf "min" <= gf "max") then
-              fail "metrics histogram %s: min > max" n)
+              fail "%s: percentiles not monotone (%g/%g/%g)" what p50 p90 p99;
+            if count > 0 && not (gf "min" <= gf "max") then fail "%s: min > max" what)
           hs
-    | _ -> fail "metrics: missing histograms object"
+    | _ -> fail "metrics: missing histograms object");
+    counters
   in
-  let check_gc g =
-    List.iter
-      (fun field ->
-        match Json.member field g with
-        | Some v ->
-            let x = get_float ("gc " ^ field) v in
-            if not (x >= 0.0) then fail "gc %s: %g < 0" field x
-        | None -> fail "gc: missing %s" field)
-      [
-        "minor_collections"; "major_collections"; "compactions"; "minor_words";
-        "promoted_words"; "major_words"; "heap_words"; "top_heap_words";
-      ]
-  in
+  (* Schema v5 only: the manifest is a view of its embedded metrics
+     snapshot, so every count is checked once there, and [batch] must
+     equal the [batch.*] counters it was read from.  Returns the stage
+     names. *)
   let check_manifest m =
-    let schema_version =
-      match Json.member "schema_version" m with
-      | Some v ->
-          let v = get_int "schema_version" v in
-          if v < 1 then fail "schema_version %d < 1" v;
-          v
-      | None -> fail "manifest: missing schema_version"
+    let version = field "manifest" m "schema_version" Json.to_int in
+    if version <> 5 then fail "schema_version %d: only version 5 is supported" version;
+    let keys = [ "schema_version"; "run"; "stages"; "batch"; "metrics" ] in
+    (match m with
+    | Json.Obj kvs when List.map fst kvs = keys -> ()
+    | _ -> fail "manifest: top-level keys must be %s" (String.concat ", " keys));
+    let names =
+      List.map
+        (fun s ->
+          let name = field "stage" s "name" Json.to_str in
+          let what = "stage " ^ name in
+          let count = field what s "count" Json.to_int in
+          let seconds = field what s "seconds" Json.to_float in
+          if count < 1 then fail "%s: count %d < 1" what count;
+          if not (seconds >= 0.0) then fail "%s: seconds %g < 0" what seconds;
+          name)
+        (field "manifest" m "stages" Json.to_list)
     in
-    let stages =
-      match Json.member "stages" m with
-      | Some (Json.List l) -> l
-      | _ -> fail "manifest: missing stages list"
-    in
+    let counters = check_metrics (field "manifest" m "metrics" Option.some) in
+    let batch = field "manifest" m "batch" Option.some in
+    let g key = field "batch" batch key Json.to_int in
+    (* An unregistered counter reads 0, as in the manifest. *)
     List.iter
-      (fun s ->
-        let name =
-          match Json.member "name" s with
-          | Some n -> get_str "stage name" n
-          | None -> fail "stage: missing name"
+      (fun key ->
+        let c =
+          Option.value ~default:0
+            (Option.bind (List.assoc_opt ("batch." ^ key) counters) Json.to_int)
         in
-        let count =
-          match Json.member "count" s with
-          | Some c -> get_int "stage count" c
-          | None -> fail "stage %s: missing count" name
-        in
-        let seconds =
-          match Json.member "seconds" s with
-          | Some x -> get_float "stage seconds" x
-          | None -> fail "stage %s: missing seconds" name
-        in
-        if count < 1 then fail "stage %s: count %d < 1" name count;
-        if not (seconds >= 0.0) then fail "stage %s: seconds %g < 0" name seconds)
-      stages;
-    (match Json.member "sim_cache" m with
-    | Some sc ->
-        let g name =
-          match Json.member name sc with
-          | Some v -> get_int ("sim_cache " ^ name) v
-          | None -> fail "sim_cache: missing %s" name
-        in
-        let hits = g "hits" and misses = g "misses" and lookups = g "lookups" in
-        if hits < 0 || misses < 0 then fail "sim_cache: negative counters";
-        if hits + misses <> lookups then
-          fail "sim_cache: hits %d + misses %d <> lookups %d" hits misses lookups
-    | None -> fail "manifest: missing sim_cache");
-    (match Json.member "layout" m with
-    | Some lay ->
-        let stages =
-          match Json.member "stages" lay with
-          | Some (Json.List l) -> l
-          | _ -> fail "layout: missing stages list"
-        in
+        if g key <> c then
+          fail "batch: %s %d <> metrics counter batch.%s %d" key (g key) key c)
+      Manifest.batch_fields;
+    if g "cache_hits" + g "simulated" > g "members" then
+      fail "batch: cache_hits %d + simulated %d > members %d" (g "cache_hits")
+        (g "simulated") (g "members");
+    (match field "manifest" m "run" Option.some with
+    | Json.Null -> ()
+    | r ->
+        let gc = field "run" r "gc" Option.some in
         List.iter
-          (fun s ->
-            let name =
-              match Json.member "name" s with
-              | Some n -> get_str "layout stage name" n
-              | None -> fail "layout stage: missing name"
-            in
-            let g field =
-              match Json.member field s with
-              | Some v -> get_int ("layout stage " ^ field) v
-              | None -> fail "layout stage %s: missing %s" name field
-            in
-            let hits = g "hits" and misses = g "misses" and lookups = g "lookups" in
-            if hits < 0 || misses < 0 then
-              fail "layout stage %s: negative counters" name;
-            if hits + misses <> lookups then
-              fail "layout stage %s: hits %d + misses %d <> lookups %d" name hits
-                misses lookups;
-            match Json.member "seconds" s with
-            | Some x ->
-                let v = get_float "layout stage seconds" x in
-                if not (v >= 0.0) then fail "layout stage %s: seconds %g < 0" name v
-            | None -> fail "layout stage %s: missing seconds" name)
-          stages;
-        (match Json.member "hit_rate" lay with
-        | Some x ->
-            let v = get_float "layout hit_rate" x in
-            if not (v >= 0.0 && v <= 1.0) then fail "layout hit_rate %g not in [0,1]" v
-        | None -> fail "layout: missing hit_rate")
-    | None ->
-        if schema_version >= 3 then fail "manifest: missing layout (schema v3+)");
-    (match Json.member "batch" m with
-    | Some b ->
-        let g name =
-          match Json.member name b with
-          | Some v -> get_int ("batch " ^ name) v
-          | None -> fail "batch: missing %s" name
-        in
-        List.iter
-          (fun name -> if g name < 0 then fail "batch: %s %d < 0" name (g name))
+          (fun key ->
+            let x = field "gc" gc key Json.to_float in
+            if not (x >= 0.0) then fail "gc %s: %g < 0" key x)
           [
-            "calls"; "members"; "cache_hits"; "simulated"; "replay_passes";
-            "passes_saved"; "events_replayed"; "events_saved";
-          ];
-        if g "cache_hits" + g "simulated" > g "members" then
-          fail "batch: cache_hits %d + simulated %d > members %d" (g "cache_hits")
-            (g "simulated") (g "members")
-    | None ->
-        if schema_version >= 2 then fail "manifest: missing batch (schema v2+)");
-    (match Json.member "experiments" m with
-    | Some (Json.List l) ->
-        List.iter
-          (fun e ->
-            match Json.member "seconds" e with
-            | Some x ->
-                let s = get_float "experiment seconds" x in
-                if not (s >= 0.0) then fail "experiment seconds %g < 0" s
-            | None -> fail "experiment entry: missing seconds")
-          l
-    | _ -> fail "manifest: missing experiments list");
-    (match Json.member "metrics" m with
-    | Some mx -> check_metrics mx
-    | None ->
-        if schema_version >= 4 then fail "manifest: missing metrics (schema v4+)");
-    (match Json.member "run" m with
-    | Some Json.Null | None -> ()
-    | Some r -> (
-        match Json.member "gc" r with
-        | Some g -> check_gc g
-        | None -> if schema_version >= 4 then fail "run: missing gc (schema v4+)"));
-    List.length stages
+            "minor_collections"; "major_collections"; "compactions"; "minor_words";
+            "promoted_words"; "major_words"; "heap_words"; "top_heap_words";
+          ]);
+    names
   in
   let run file =
     let text =
@@ -958,18 +865,15 @@ let validate_cmd =
                 (List.length !s)
                 (fst (List.hd !s)))
           stacks;
-        (match Json.member "metrics" doc with
-        | Some mx -> check_metrics mx
-        | None -> ());
+        Option.iter (fun mx -> ignore (check_metrics mx)) (Json.member "metrics" doc);
         Printf.printf "ok: trace with %d event(s), %d span(s), %d track(s)\n"
           (List.length events) !spans (Hashtbl.length tracks)
     | Ok doc
       when Json.member "schema_version" doc <> None
            && Json.member "stages" doc <> None ->
-        (* A bare manifest (bench/main.exe's BENCH_repro.json, or
-           manifest.json from repro --out). *)
+        (* A bare manifest (manifest.json from repro --out). *)
         let stages = check_manifest doc in
-        Printf.printf "ok: manifest with %d stage(s)\n" stages
+        Printf.printf "ok: manifest with %d stage(s)\n" (List.length stages)
     | Ok doc ->
         let reports =
           match Json.member "reports" doc with
@@ -981,21 +885,25 @@ let validate_cmd =
               | Ok _ -> [ doc ]
               | Error _ -> fail "document has neither a reports list nor a report shape")
         in
-        List.iteri
-          (fun i r ->
-            match Result.of_json r with
-            | Ok _ -> ()
-            | Error e -> fail "report %d: %s" i e)
-          reports;
-        let stage_count =
-          match Json.member "manifest" doc with
-          | Some m -> Some (check_manifest m)
-          | None -> None
+        let ids =
+          List.mapi
+            (fun i r ->
+              match Result.of_json r with
+              | Ok r -> r.Result.id
+              | Error e -> fail "report %d: %s" i e)
+            reports
         in
-        (match stage_count with
-        | Some stages ->
+        (match Json.member "manifest" doc with
+        | Some m ->
+            (* Experiments.compute times every report as a span. *)
+            let stages = check_manifest m in
+            List.iter
+              (fun id ->
+                if not (List.mem ("experiment." ^ id) stages) then
+                  fail "report %s: manifest has no experiment.%s stage row" id id)
+              ids;
             Printf.printf "ok: %d report(s), manifest with %d stage(s)\n"
-              (List.length reports) stages
+              (List.length reports) (List.length stages)
         | None -> Printf.printf "ok: %d report(s), no manifest\n" (List.length reports))
   in
   Cmd.v

@@ -21,8 +21,6 @@ let stages : stage list ref = ref [] (* reverse registration order *)
 
 let set_enabled b = enabled_flag := b
 
-let enabled () = !enabled_flag
-
 (* ------------------------------------------------------------------ *)
 (* Digests and loop detection                                         *)
 (* ------------------------------------------------------------------ *)
@@ -142,17 +140,6 @@ let stage_stats () =
           seconds = Metrics_registry.sum st.build_h;
         } ))
     (Mutex.protect lock (fun () -> !stages))
-
-let totals () =
-  List.fold_left
-    (fun acc (_, s) ->
-      {
-        hits = acc.hits + s.hits;
-        misses = acc.misses + s.misses;
-        seconds = acc.seconds +. s.seconds;
-      })
-    { hits = 0; misses = 0; seconds = 0.0 }
-    (stage_stats ())
 
 let clear () =
   Mutex.protect lock (fun () ->

@@ -26,8 +26,8 @@
     A stage's counts live only in {!Metrics_registry}: the counters
     [layout_cache.<stage>.hits], [.misses] and [.lookups] and the
     histogram [layout_cache.<stage>.build_seconds].  They are
-    whole-process totals, surfaced in the run manifest's [layout]
-    object; {!clear} drops cached values but never rewinds them.
+    whole-process totals, surfaced in the run manifest's [metrics]
+    snapshot; {!clear} drops cached values but never rewinds them.
 
     The module also owns natural-loop detection for {e both} OS and
     application graphs ({!loops}), replacing the unsynchronized global
@@ -74,13 +74,8 @@ val set_enabled : bool -> unit
     (no lookups, no stores, no counter updates), so a "monolithic"
     reference build can be produced for comparison.  Default: enabled. *)
 
-val enabled : unit -> bool
-
 val stage_stats : unit -> (string * stats) list
 (** Per-stage registry counters in stage registration order. *)
-
-val totals : unit -> stats
-(** Sum of {!stage_stats}. *)
 
 val clear : unit -> unit
 (** Drop every cached value (including memoized loops and digests); the

@@ -66,7 +66,7 @@ let rec fit c size =
 (* The layout decomposes into stages with strictly shrinking input sets
    (Layout_cache's doc lists them), each memoized on a digest of exactly
    what it consumes.  Registration order below is pipeline order, which
-   is also the order the run manifest reports. *)
+   is also the order Layout_cache.stage_stats reports. *)
 
 module Seq_cache = Layout_cache.Stage (struct
   type value = Sequence.t list

@@ -31,14 +31,11 @@ let compute (ctx : Context.t) =
      layout from its own averaged profile, the way Context.create does for
      the original. *)
   let pairs = Workload.standard_programs inlined in
-  (* The literal 11 + i, not ctx.Context.seed + i as in Context.create,
-     is a known deviation: the inlined traces are drawn from different
-     seeds than the original traces unless the context seed is 11.  It is
-     kept because the inline golden transcript was recorded with it. *)
   let captures =
     Parallel.map_array
       (fun i ((w : Workload.t), program) ->
-        Profile.capture ~program ~workload:w ~words:ctx.Context.words ~seed:(11 + i))
+        Profile.capture ~program ~workload:w ~words:ctx.Context.words
+          ~seed:(ctx.Context.seed + i))
       pairs
   in
   let avg =
@@ -113,5 +110,3 @@ let report ctx =
       Result.paper
         "code expansion increases conflicts, so the paper's sequences do not inline";
     ]
-
-let run ctx = Result.print (report ctx)

@@ -11,5 +11,3 @@ val budgets_of : int -> int array
 val compute : Context.t -> point array
 val report : Context.t -> Result.report
 (** Typed report whose text rendering is the classic transcript. *)
-
-val run : Context.t -> unit

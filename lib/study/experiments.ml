@@ -38,11 +38,6 @@ let all =
 let find id = List.find (fun e -> e.id = id) all
 
 let compute e ctx =
-  let t0 = Unix.gettimeofday () in
-  let report = e.compute ctx in
-  Manifest.record_experiment ~id:e.id ~seconds:(Unix.gettimeofday () -. t0);
-  report
+  Trace_log.with_span ("experiment." ^ e.id) (fun () -> e.compute ctx)
 
 let run e ctx = Result.print (compute e ctx)
-
-let run_all ctx = List.iter (fun e -> run e ctx) all

@@ -13,10 +13,9 @@ val find : string -> t
 (** @raise Not_found on an unknown id. *)
 
 val compute : t -> Context.t -> Result.report
-(** [e.compute], with the wall-clock spent recorded in the run
-    {!Manifest} under the experiment's id. *)
+(** [e.compute] inside the span [experiment.<id>], so the experiment's
+    wall-clock is the run {!Manifest}'s stage row of that name (and one
+    span on the trace timeline). *)
 
 val run : t -> Context.t -> unit
 (** {!compute} rendered as text to stdout — the classic transcript. *)
-
-val run_all : Context.t -> unit

@@ -9,16 +9,12 @@ type run = {
 
 let lock = Mutex.create ()
 let run_info : run option ref = ref None
-let experiments : (string * float) list ref = ref [] (* reverse order *)
 
 let set_run ~spec_seed ~spec_digest ~words ~seed ~jobs ~context_key =
   Mutex.protect lock (fun () ->
       match !run_info with
       | Some _ -> ()
       | None -> run_info := Some { spec_seed; spec_digest; words; seed; jobs; context_key })
-
-let record_experiment ~id ~seconds =
-  Mutex.protect lock (fun () -> experiments := (id, seconds) :: !experiments)
 
 let span_prefix = "span."
 
@@ -29,9 +25,7 @@ let batch_fields =
   ]
 
 let to_json () =
-  let run, experiment_rows =
-    Mutex.protect lock (fun () -> (!run_info, List.rev !experiments))
-  in
+  let run = Mutex.protect lock (fun () -> !run_info) in
   (* One registry snapshot feeds the stages and batch objects and is
      embedded whole under "metrics", so they cannot disagree. *)
   let metrics = Metrics_registry.to_json () in
@@ -61,14 +55,6 @@ let to_json () =
     | Some (Json.Int n) -> n
     | _ -> 0
   in
-  let hits = Sim_cache.hits () and misses = Sim_cache.misses () in
-  let layout_stages = Layout_cache.stage_stats () in
-  let layout_totals = Layout_cache.totals () in
-  let layout_hit_rate =
-    let lookups = layout_totals.Layout_cache.hits + layout_totals.Layout_cache.misses in
-    if lookups = 0 then 0.0
-    else float_of_int layout_totals.Layout_cache.hits /. float_of_int lookups
-  in
   (* GC statistics are a point sample taken now (manifest emission), not
      an accumulation: quick_stat is cheap and the emission point is the
      end of the run, so the numbers cover the whole pipeline. *)
@@ -88,7 +74,7 @@ let to_json () =
   in
   Json.Obj
     [
-      ("schema_version", Json.Int 4);
+      ("schema_version", Json.Int 5);
       ( "run",
         match run with
         | None -> Json.Null
@@ -104,41 +90,8 @@ let to_json () =
                 ("gc", gc_json);
               ] );
       ("stages", Json.List stage_rows);
-      ( "sim_cache",
-        Json.Obj
-          [
-            ("hits", Json.Int hits);
-            ("misses", Json.Int misses);
-            ("lookups", Json.Int (hits + misses));
-            ("hit_rate", Json.Float (Sim_cache.hit_rate ()));
-          ] );
-      ( "layout",
-        Json.Obj
-          [
-            ( "stages",
-              Json.List
-                (List.map
-                   (fun (name, (s : Layout_cache.stats)) ->
-                     Json.Obj
-                       [
-                         ("name", Json.String name);
-                         ("hits", Json.Int s.Layout_cache.hits);
-                         ("misses", Json.Int s.Layout_cache.misses);
-                         ( "lookups",
-                           Json.Int (s.Layout_cache.hits + s.Layout_cache.misses) );
-                         ("seconds", Json.Float s.Layout_cache.seconds);
-                       ])
-                   layout_stages) );
-            ("hit_rate", Json.Float layout_hit_rate);
-          ] );
       ( "batch",
         Json.Obj
           (List.map (fun f -> (f, Json.Int (batch_counter f))) batch_fields) );
-      ( "experiments",
-        Json.List
-          (List.map
-             (fun (id, seconds) ->
-               Json.Obj [ ("id", Json.String id); ("seconds", Json.Float seconds) ])
-             experiment_rows) );
       ("metrics", metrics);
     ]

@@ -53,9 +53,4 @@ let hits () = Metrics_registry.counter_value m_hits
 
 let misses () = Metrics_registry.counter_value m_misses
 
-let hit_rate () =
-  let h = hits () in
-  let total = h + misses () in
-  if total = 0 then 0.0 else float_of_int h /. float_of_int total
-
 let clear () = Mutex.protect lock (fun () -> Hashtbl.reset table)

@@ -59,8 +59,5 @@ val hits : unit -> int
 val misses : unit -> int
 (** Registry counter [sim_cache.misses]. *)
 
-val hit_rate : unit -> float
-(** [hits / (hits + misses)]; 0 when no lookups have happened. *)
-
 val clear : unit -> unit
 (** Drop all entries; the counters keep counting (tests). *)

@@ -45,8 +45,6 @@ let unit_float g =
 
 let float g bound = unit_float g *. bound
 
-let bool g = Int64.logand (next_int64 g) 1L = 1L
-
 let bernoulli g p = unit_float g < p
 
 let choose g a =

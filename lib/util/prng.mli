@@ -38,9 +38,6 @@ val float : t -> float -> float
 val unit_float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli g p] is [true] with probability [p]. *)
 

@@ -35,8 +35,6 @@ let set_track t = Domain.DLS.set track_key t
 
 let set_enabled b = Atomic.set enabled_flag b
 
-let enabled () = Atomic.get enabled_flag
-
 let record ~begin_ ~name ~args ~at =
   let b = Domain.DLS.get buffer_key in
   if b.len = Array.length b.items then begin

@@ -45,8 +45,6 @@ val set_enabled : bool -> unit
 (** Turn event recording on or off (off at start-up).  Disabling does not
     clear already-recorded events; span histograms record regardless. *)
 
-val enabled : unit -> bool
-
 val with_span : ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 (** [with_span ?args name f] runs [f ()] and observes its wall-clock
     duration into the [span.<name>] histogram.  When recording is enabled

@@ -199,14 +199,19 @@ let test_manifest_invariants () =
      Sim_cache counters are populated, then check exactly what
      `icache-opt validate` checks. *)
   let ctx = Lazy.force small_context in
-  ignore
-    (Runner.simulate ctx
-       ~layouts:(Levels.build ctx Levels.Base)
-       ~system:(fun () -> System.unified (Config.make ~size_kb:8 ()))
-       ());
+  let layouts = Levels.build ctx Levels.Base in
+  let config = Config.make ~size_kb:8 () in
+  ignore (Runner.simulate ctx ~layouts ~system:(fun () -> System.unified config) ());
+  ignore (Runner.simulate_batch ctx ~members:[| (layouts, config) |] ());
   let m = Manifest.to_json () in
-  let version = Json.to_int (member "schema_version" m) in
-  check_bool "schema_version >= 1" true (match version with Some v -> v >= 1 | None -> false);
+  (match m with
+  | Json.Obj kvs ->
+      Alcotest.(check (list string))
+        "schema v5 top-level keys"
+        [ "schema_version"; "run"; "stages"; "batch"; "metrics" ]
+        (List.map fst kvs)
+  | _ -> Alcotest.fail "manifest is not an object");
+  check_bool "schema_version = 5" true (Json.to_int (member "schema_version" m) = Some 5);
   let stages =
     match member "stages" m with
     | Json.List l -> l
@@ -230,54 +235,68 @@ let test_manifest_invariants () =
       check_bool "stage count >= 1" true
         (match count with Some c -> c >= 1 | None -> false))
     stages;
-  let sc = member "sim_cache" m in
-  let geti n = match Json.to_int (member n sc) with
-    | Some v -> v
-    | None -> Alcotest.failf "sim_cache %s not an int" n
+  (* The sim-cache and per-stage layout-cache counts live only in the
+     embedded metrics snapshot: each is a hits/misses/lookups trio. *)
+  let metrics = member "metrics" m in
+  let counters =
+    match member "counters" metrics with
+    | Json.Obj kvs -> kvs
+    | _ -> Alcotest.fail "metrics counters is not an object"
   in
-  check_int "hits + misses = lookups" (geti "lookups") (geti "hits" + geti "misses");
-  (* Schema v3: the layout object mirrors Layout_cache per stage. *)
-  let lay = member "layout" m in
-  (match member "stages" lay with
+  let counter n =
+    match Option.bind (List.assoc_opt n counters) Json.to_int with
+    | Some v -> v
+    | None -> Alcotest.failf "metrics counter %s missing" n
+  in
+  let check_trio prefix =
+    check_int (prefix ^ " hits + misses = lookups")
+      (counter (prefix ^ ".lookups"))
+      (counter (prefix ^ ".hits") + counter (prefix ^ ".misses"))
+  in
+  check_trio "sim_cache";
+  check_bool "sim_cache looked up" true (counter "sim_cache.lookups" > 0);
+  List.iter
+    (fun (name, _) ->
+      let prefix = "layout_cache." ^ name in
+      check_trio prefix;
+      let build = member (prefix ^ ".build_seconds") (member "histograms" metrics) in
+      check_bool (prefix ^ " build seconds >= 0") true
+        (match Json.to_float (member "sum" build) with Some x -> x >= 0.0 | None -> false))
+    (Layout_cache.stage_stats ());
+  (* The batch object is a view of the batch.* counters. *)
+  List.iter
+    (fun field ->
+      check_bool ("batch " ^ field ^ " = its counter") true
+        (Json.to_int (member field (member "batch" m))
+        = Metrics_registry.find_counter ("batch." ^ field)))
+    Manifest.batch_fields
+
+let manifest_stage_rows () =
+  match member "stages" (Manifest.to_json ()) with
   | Json.List l ->
-      List.iter
+      List.map
         (fun s ->
-          let geti n =
-            match Json.to_int (member n s) with
-            | Some v -> v
-            | None -> Alcotest.failf "layout stage %s not an int" n
-          in
-          check_int "layout hits + misses = lookups" (geti "lookups")
-            (geti "hits" + geti "misses");
-          check_bool "layout stage seconds >= 0" true
-            (match Json.to_float (member "seconds" s) with
-            | Some x -> x >= 0.0
-            | None -> false))
+          match
+            ( Json.to_str (member "name" s),
+              Json.to_int (member "count" s),
+              Json.to_float (member "seconds" s) )
+          with
+          | Some n, Some c, Some x -> (n, (c, x))
+          | _ -> Alcotest.fail "stage row without name/count/seconds")
         l
-  | _ -> Alcotest.fail "layout stages is not a list")
+  | _ -> Alcotest.fail "stages is not a list"
 
 let test_manifest_experiment_timing () =
   let ctx = Lazy.force small_context in
   let e = Experiments.find "fig9" in
+  let row () = List.assoc_opt "experiment.fig9" (manifest_stage_rows ()) in
+  let before = Option.fold ~none:0 ~some:fst (row ()) in
   ignore (Experiments.compute e ctx);
-  let m = Manifest.to_json () in
-  let exps =
-    match member "experiments" m with
-    | Json.List l -> l
-    | _ -> Alcotest.fail "experiments is not a list"
-  in
-  let entry =
-    List.find_opt
-      (fun e -> Json.to_str (member "id" e) = Some "fig9")
-      exps
-  in
-  match entry with
-  | None -> Alcotest.fail "fig9 missing from manifest experiments"
-  | Some e ->
-      check_bool "experiment seconds >= 0" true
-        (match Json.to_float (member "seconds" e) with
-        | Some s -> s >= 0.0
-        | None -> false)
+  match row () with
+  | None -> Alcotest.fail "no experiment.fig9 stage row"
+  | Some (count, seconds) ->
+      check_int "one experiment.fig9 span per compute" (before + 1) count;
+      check_bool "experiment seconds >= 0" true (seconds >= 0.0)
 
 (* The manifest's stage rows are read back from the span histograms, so
    over any window they count exactly the spans the timeline recorded --
@@ -296,15 +315,7 @@ let pipeline_window ~traced ~seed =
   ignore (Runner.simulate_batch ctx ~members:[| (layouts, config) |] ())
 
 let manifest_stage_counts () =
-  match member "stages" (Manifest.to_json ()) with
-  | Json.List l ->
-      List.map
-        (fun s ->
-          match (Json.to_str (member "name" s), Json.to_int (member "count" s)) with
-          | Some n, Some c -> (n, c)
-          | _ -> Alcotest.fail "stage row without name/count")
-        l
-  | _ -> Alcotest.fail "stages is not a list"
+  List.map (fun (n, (c, _)) -> (n, c)) (manifest_stage_rows ())
 
 let test_manifest_matches_trace () =
   let jobs0 = Parallel.default_jobs () in
