@@ -37,20 +37,40 @@ let sinks ~program =
   in
   (profiles, sink)
 
+(* One fused sink: an exec is a trace append plus a float-array bump.  The
+   scalar counters are set once after the run, so no exec boxes a float
+   into a mixed record. *)
 let capture ~program ~workload ~words ~seed =
   let trace = Trace.create ~capacity:(words / 4) () in
-  let profiles, p = sinks ~program in
-  let t = Engine.trace_sink trace in
+  let profiles =
+    Array.init (Program.image_count program) (fun i -> empty (Program.graph program i))
+  in
+  let block = Array.map (fun p -> p.block) profiles
+  and arc = Array.map (fun p -> p.arc) profiles in
+  let invocations = ref 0 in
   let sink =
     {
       Engine.on_exec =
-        (fun ~image ~block -> t.on_exec ~image ~block; p.on_exec ~image ~block);
-      on_arc = (fun ~image ~arc -> t.on_arc ~image ~arc; p.on_arc ~image ~arc);
-      on_invocation_start = (fun c -> t.on_invocation_start c; p.on_invocation_start c);
-      on_invocation_end = (fun () -> t.on_invocation_end (); p.on_invocation_end ());
+        (fun ~image ~block:b ->
+          Trace.append_exec trace ~image ~block:b;
+          let c = block.(image) in
+          c.(b) <- c.(b) +. 1.0);
+      on_arc =
+        (fun ~image ~arc:a ->
+          let c = arc.(image) in
+          c.(a) <- c.(a) +. 1.0);
+      on_invocation_start =
+        (fun c ->
+          Trace.append trace (Trace.Invocation_start c);
+          incr invocations);
+      on_invocation_end = (fun () -> Trace.append trace Trace.Invocation_end);
     }
   in
   let stats = Engine.run ~program ~workload ~words ~seed ~sink in
+  (* Exact: the counts are integers below 2^53, so every partial sum is
+     too, and the sum equals the per-exec increments. *)
+  Array.iter (fun p -> p.total_blocks <- Stats.sum p.block) profiles;
+  profiles.(Program.os_image).invocations <- float_of_int !invocations;
   (trace, stats, profiles)
 
 let scale_to t target =

@@ -16,13 +16,17 @@ val empty : Graph.t -> t
 
 val sinks : program:Program.t -> t array * Engine.sink
 (** The per-image profiles (index 0 = OS) and an engine sink that fills
-    them, for callers that profile without keeping a trace. *)
+    them event by event, for callers that profile without keeping a
+    trace.  Composed with {!Engine.trace_sink} it is the reference the
+    tests check {!capture} against. *)
 
 val capture :
   program:Program.t -> workload:Workload.t -> words:int -> seed:int ->
   Trace.t * Engine.stats * t array
 (** {!Engine.run} recording the trace and one profile per image (index 0 =
-    OS) in the same pass. *)
+    OS) in the same pass, through one fused sink that allocates nothing
+    per event; [total_blocks] and [invocations] are set after the run.
+    Equal, bit for bit, to {!Engine.trace_sink} composed with {!sinks}. *)
 
 val scale_to : t -> float -> t
 (** Copy, rescaled so [total_blocks] equals the given value. *)

@@ -13,9 +13,9 @@ type t = {
   key : string;
 }
 
-let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
-  let model = Generator.generate spec in
-  let pairs = Workload.standard_programs model in
+(* Everything past kernel generation: capture every workload of [pairs]
+   at [words] and average the profiles. *)
+let build ~model ~pairs ~spec ~words ~seed ?jobs () =
   (* Trace capture is the expensive step and every workload is independent
      (fresh trace buffer, fresh profile arrays, engine PRNG seeded per
      workload), so fan it out across domains.  Results land by index, so
@@ -67,11 +67,6 @@ let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
     | None -> invalid_arg "Context.avg_app_profile: unknown application"
   in
   let key = Digest.to_hex (Digest.string (Marshal.to_string (spec, words, seed) [])) in
-  Manifest.set_run ~spec_seed:spec.Spec.seed
-    ~spec_digest:(Digest.to_hex (Digest.string (Marshal.to_string (spec : Spec.t) [])))
-    ~words ~seed
-    ~jobs:(match jobs with Some j -> j | None -> Parallel.default_jobs ())
-    ~context_key:key;
   {
     model;
     pairs;
@@ -86,6 +81,20 @@ let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
     seed;
     key;
   }
+
+let create ?(spec = Spec.default) ?(words = 2_000_000) ?(seed = 11) ?jobs () =
+  let model = Generator.generate spec in
+  let t = build ~model ~pairs:(Workload.standard_programs model) ~spec ~words ~seed ?jobs () in
+  Manifest.set_run ~spec_seed:spec.Spec.seed
+    ~spec_digest:(Digest.to_hex (Digest.string (Marshal.to_string (spec : Spec.t) [])))
+    ~words ~seed
+    ~jobs:(match jobs with Some j -> j | None -> Parallel.default_jobs ())
+    ~context_key:t.key;
+  t
+
+let at_words t words =
+  if words = t.words then t
+  else build ~model:t.model ~pairs:t.pairs ~spec:t.spec ~words ~seed:t.seed ()
 
 let workload_count t = Array.length t.pairs
 

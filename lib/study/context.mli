@@ -30,6 +30,13 @@ val create : ?spec:Spec.t -> ?words:int -> ?seed:int -> ?jobs:int -> unit -> t
     domains (default {!Parallel.default_jobs}); the result is bit-identical
     for every job count. *)
 
+val at_words : t -> int -> t
+(** [at_words ctx words] is the context {!create} would build from
+    [ctx]'s spec and seed at a budget of [words] per workload, without
+    regenerating the kernel: it captures from [ctx.model] and
+    [ctx.pairs].  At [ctx.words] it is [ctx] itself.  It does not record
+    a run in the {!Manifest}. *)
+
 val workload_count : t -> int
 val key : t -> string
 val workload_names : t -> string array

@@ -26,7 +26,10 @@ let xcall_prob_for (w : Workload.t) =
 let compute (ctx : Context.t) =
   let base_layouts = Levels.build ctx Levels.Base in
   let opt_layouts = Levels.build ctx Levels.OptS in
-  Array.mapi
+  (* Each workload's machine is independent (its own PRNG seed, traces and
+     caches), so fan the workloads out; results land by index, so the rows
+     are identical for every job count. *)
+  Parallel.map_array
     (fun i ((w : Workload.t), program) ->
       let r =
         Multiproc.run ~program ~workload:w ~cpus
@@ -35,12 +38,11 @@ let compute (ctx : Context.t) =
           ~xcall_prob:(xcall_prob_for w) ()
       in
       let rates layout =
+        let map = Program_layout.code_map layout in
         Array.map
           (fun (c : Multiproc.cpu) ->
             let system = System.unified (Config.make ~size_kb:8 ()) in
-            Replay.run_range ~trace:c.Multiproc.trace
-              ~map:(Program_layout.code_map layout)
-              ~systems:[| system |]
+            Replay.run_range ~trace:c.Multiproc.trace ~map ~systems:[| system |]
               ~warmup_fraction:Replay.default_warmup_fraction;
             Counters.miss_rate (System.counters system))
           r.Multiproc.cpus

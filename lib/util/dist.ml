@@ -41,8 +41,8 @@ let zipf_mass ~n ~s ~rank =
   if rank = 0 then cdf.(0) else cdf.(rank) -. cdf.(rank - 1)
 
 let weighted choices =
-  let tagged = Array.map (fun (v, w) -> (v, w)) choices in
-  fun g -> Prng.choose_weighted g tagged
+  let values = Array.map fst choices and weights = Array.map snd choices in
+  fun g -> values.(Prng.choose_index g weights)
 
 let scaled d k = fun g -> int_of_float (Float.round (float_of_int (d g) *. k))
 

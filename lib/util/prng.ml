@@ -38,10 +38,10 @@ let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let unit_float g =
-  (* 53 random bits scaled into [0, 1). *)
-  let bits = Int64.to_float (Int64.shift_right_logical (next_int64 g) 11) in
-  bits *. 0x1p-53
+let bits53 g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 11)
+
+(* 53 random bits scaled into [0, 1). *)
+let[@inline] unit_float g = float_of_int (bits53 g) *. 0x1p-53
 
 let float g bound = unit_float g *. bound
 
@@ -51,18 +51,32 @@ let choose g a =
   if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
   a.(int g (Array.length a))
 
-let choose_weighted g choices =
-  let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 choices in
-  if not (total > 0.0) then
-    invalid_arg "Prng.choose_weighted: weights must sum to a positive value";
-  let target = float g total in
-  let n = Array.length choices in
-  let rec scan i acc =
-    let x, w = choices.(i) in
-    let acc = acc +. w in
-    if target < acc || i = n - 1 then x else scan (i + 1) acc
-  in
-  scan 0 0.0
+(* The one cumulative-weight scan: the first index whose running sum of
+   [w] exceeds [u], the last index taking any overshoot.  A loop over
+   float refs, so nothing is boxed. *)
+let[@inline] weighted_index (w : float array) u =
+  let n = Array.length w in
+  let acc = ref 0.0 and i = ref 0 in
+  while
+    !i < n - 1
+    &&
+    (acc := !acc +. w.(!i);
+     not (u < !acc))
+  do
+    incr i
+  done;
+  !i
+
+let choose_index g (w : float array) =
+  let total = ref 0.0 in
+  for i = 0 to Array.length w - 1 do
+    total := !total +. w.(i)
+  done;
+  if not (!total > 0.0) then
+    invalid_arg "Prng.choose_index: weights must sum to a positive value";
+  weighted_index w (unit_float g *. !total)
+
+let choose_weighted g choices = fst choices.(choose_index g (Array.map snd choices))
 
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do

@@ -38,11 +38,25 @@ val float : t -> float -> float
 val unit_float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
+val bits53 : t -> int
+(** The next 53 random bits, uniform in [\[0, 2{^53})]: the draw behind
+    {!unit_float}, which is [float_of_int (bits53 g) *. 0x1p-53].  Returns
+    an immediate int, so a per-event loop in another module can scale it
+    itself: without cross-module inlining, a {!unit_float} call from
+    another module returns a boxed float. *)
+
 val bernoulli : t -> float -> bool
 (** [bernoulli g p] is [true] with probability [p]. *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform choice among the elements.  @raise Invalid_argument on [||]. *)
+
+val choose_index : t -> float array -> int
+(** [choose_index g w] picks an index with probability proportional to
+    its weight in [w].  It draws, sums and scans inside this module and
+    returns an immediate int, so a per-event caller boxes no float.
+    Weights must be non-negative and not all zero.
+    @raise Invalid_argument otherwise. *)
 
 val choose_weighted : t -> ('a * float) array -> 'a
 (** [choose_weighted g choices] picks an element with probability

@@ -1,4 +1,11 @@
-let sum a = Array.fold_left ( +. ) 0.0 a
+(* A loop over a float ref, not [Array.fold_left], so no partial sum is
+   boxed; the additions happen in the same left-to-right order. *)
+let sum (a : float array) =
+  let total = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    total := !total +. a.(i)
+  done;
+  !total
 
 let sum_int a = Array.fold_left ( + ) 0 a
 

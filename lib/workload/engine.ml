@@ -23,7 +23,7 @@ let null_sink =
 
 let trace_sink trace =
   {
-    on_exec = (fun ~image ~block -> Trace.append trace (Trace.Exec { image; block }));
+    on_exec = (fun ~image ~block -> Trace.append_exec trace ~image ~block);
     on_arc = (fun ~image:_ ~arc:_ -> ());
     on_invocation_start = (fun c -> Trace.append trace (Trace.Invocation_start c));
     on_invocation_end = (fun () -> Trace.append trace Trace.Invocation_end);
@@ -37,10 +37,15 @@ type cpu = {
   workload : Workload.t;
   sink : sink;
   g_class : Prng.t;
-  class_choices : (int * float) array;
+  handler_totals : float array;  (** Per class: sum of its handler weights. *)
   seeds : Model.seed_info array;
   words_of : int array array;  (** Per image, per block. *)
-  current_handler : int array;  (** Per class: handler its dispatch takes. *)
+  dispatch_block : Block.id array;  (** Per class. *)
+  handler_arcs : Arc.id array array;  (** Per class, per handler. *)
+  override : Arc.id array;
+      (** The OS walker's per-block override: at each class's dispatch
+          block, the arc of the handler its last invocation chose
+          (handler 0 before the first); -1 everywhere else. *)
   os_walker : Walker.t;
   instances : int array;
   app_walkers : Walker.t array;
@@ -58,11 +63,11 @@ let create_cpu ~program ~workload ~instances ~g_class ~g_os ~g_app ~sink =
         Array.init (Graph.block_count g) (fun b ->
             Block.instruction_words (Graph.block g b)))
   in
-  (* Dispatch handling: block id -> class index, and per class the arc for
-     each handler; the walker takes the arc of the class's current
-     handler. *)
-  let dispatch_class = Hashtbl.create 8 in
-  let arcs_by_handler =
+  (* Dispatch handling: per class, its dispatch block and the arc that
+     selects each handler.  The override array assumes one class per
+     dispatch block. *)
+  let dispatch_block = Array.map (fun (d : Model.dispatch) -> d.block) os.Model.dispatches in
+  let handler_arcs =
     Array.map
       (fun (d : Model.dispatch) ->
         let arr = Array.make (Array.length d.arcs) (-1) in
@@ -70,18 +75,15 @@ let create_cpu ~program ~workload ~instances ~g_class ~g_os ~g_app ~sink =
         arr)
       os.Model.dispatches
   in
+  let override = Array.make (Graph.block_count os.Model.graph) (-1) in
   Array.iteri
-    (fun ci (d : Model.dispatch) -> Hashtbl.add dispatch_class d.block ci)
-    os.Model.dispatches;
-  let current_handler = Array.make Service.count 0 in
-  let os_choose b _arcs =
-    match Hashtbl.find_opt dispatch_class b with
-    | None -> None
-    | Some ci -> Some arcs_by_handler.(ci).(current_handler.(ci))
-  in
+    (fun ci b ->
+      if override.(b) <> -1 then
+        invalid_arg "Engine.create_cpu: two service classes share a dispatch block";
+      if Array.length handler_arcs.(ci) > 0 then override.(b) <- handler_arcs.(ci).(0))
+    dispatch_block;
   let os_walker =
-    Walker.create ~graph:os.Model.graph ~arc_prob:os.Model.arc_prob ~prng:g_os
-      ~choose:os_choose
+    Walker.create ~graph:os.Model.graph ~arc_prob:os.Model.arc_prob ~prng:g_os ~override
       ~on_arc:(fun arc -> sink.on_arc ~image:Program.os_image ~arc)
       ()
   in
@@ -108,10 +110,12 @@ let create_cpu ~program ~workload ~instances ~g_class ~g_os ~g_app ~sink =
     workload;
     sink;
     g_class;
-    class_choices = Array.mapi (fun i p -> (i, p)) workload.Workload.mix;
+    handler_totals = Array.map Stats.sum workload.Workload.handler_weights;
     seeds = os.Model.seeds;
     words_of;
-    current_handler;
+    dispatch_block;
+    handler_arcs;
+    override;
     os_walker;
     instances;
     app_walkers;
@@ -124,39 +128,24 @@ let create_cpu ~program ~workload ~instances ~g_class ~g_os ~g_app ~sink =
 let words cpu = cpu.os_words + cpu.app_words
 
 let sample_handler cpu ci =
-  let w = cpu.workload.Workload.handler_weights.(ci) in
-  let total = Array.fold_left ( +. ) 0.0 w in
-  if total <= 0.0 then 0
-  else begin
-    let u = Prng.unit_float cpu.g_class *. total in
-    let rec scan i acc =
-      if i >= Array.length w - 1 then i
-      else
-        let acc = acc +. w.(i) in
-        if u < acc then i else scan (i + 1) acc
-    in
-    scan 0 0.0
-  end
+  if cpu.handler_totals.(ci) <= 0.0 then 0
+  else Prng.choose_index cpu.g_class cpu.workload.Workload.handler_weights.(ci)
 
-let choose_class cpu =
-  let ci = Prng.choose_weighted cpu.g_class cpu.class_choices in
-  (ci, sample_handler cpu ci)
+let choose_class cpu = Prng.choose_index cpu.g_class cpu.workload.Workload.mix
 
 let invoke cpu ci ~handler =
   let sink = cpu.sink and words_of = cpu.words_of.(Program.os_image) in
-  cpu.current_handler.(ci) <- handler;
+  let w = cpu.os_walker in
+  cpu.override.(cpu.dispatch_block.(ci)) <- cpu.handler_arcs.(ci).(handler);
   cpu.invocations.(ci) <- cpu.invocations.(ci) + 1;
   sink.on_invocation_start (Service.of_index ci);
-  Walker.start cpu.os_walker cpu.seeds.(ci).Model.entry;
-  let rec go () =
-    match Walker.step cpu.os_walker with
-    | None -> ()
-    | Some b ->
-        sink.on_exec ~image:Program.os_image ~block:b;
-        cpu.os_words <- cpu.os_words + words_of.(b);
-        go ()
-  in
-  go ();
+  Walker.start w cpu.seeds.(ci).Model.entry;
+  let b = ref (Walker.step w) in
+  while !b >= 0 do
+    sink.on_exec ~image:Program.os_image ~block:!b;
+    cpu.os_words <- cpu.os_words + words_of.(!b);
+    b := Walker.step w
+  done;
   sink.on_invocation_end ()
 
 let app_burst cpu slot =
@@ -176,13 +165,13 @@ let app_burst cpu slot =
        let emitted = ref 0 in
        while !emitted < budget do
          if not (Walker.active w) then Walker.start w cpu.app_mains.(k);
-         match Walker.step w with
-         | None -> ()
-         | Some b ->
-             cpu.sink.on_exec ~image ~block:b;
-             let n = words_of.(b) in
-             emitted := !emitted + n;
-             cpu.app_words <- cpu.app_words + n
+         let b = Walker.step w in
+         if b >= 0 then begin
+           cpu.sink.on_exec ~image ~block:b;
+           let n = words_of.(b) in
+           emitted := !emitted + n;
+           cpu.app_words <- cpu.app_words + n
+         end
        done;
        true
      end
@@ -206,25 +195,27 @@ let run ~program ~workload ~words:target ~seed ~sink =
   let switches = ref 0 in
   let inv_total = ref 0 in
   let current = ref 0 in
-  let prev = ref None in
+  (* The previous invocation's class and handler; -1 before the first. *)
+  let prev_class = ref (-1) and prev_handler = ref 0 in
   while words cpu < target do
     incr inv_total;
     let switching =
       period > 0 && !inv_total mod period = 0 && Array.length instances > 1
     in
-    let ci, handler =
-      if switching then
-        (* A forced context switch runs the switch handler itself: class
-           Other, handler 0 (state save/restore, TLB invalidation). *)
-        (Service.index Service.Other, 0)
-      else
-        match !prev with
-        | Some (pc, ph) when Prng.bernoulli g_class workload.Workload.repeat_prob ->
-            (pc, ph)
-        | Some _ | None -> choose_class cpu
-    in
-    prev := Some (ci, handler);
-    invoke cpu ci ~handler;
+    if switching then begin
+      (* A forced context switch runs the switch handler itself: class
+         Other, handler 0 (state save/restore, TLB invalidation). *)
+      prev_class := Service.index Service.Other;
+      prev_handler := 0
+    end
+    else if
+      not (!prev_class >= 0 && Prng.bernoulli g_class workload.Workload.repeat_prob)
+    then begin
+      let ci = choose_class cpu in
+      prev_class := ci;
+      prev_handler := sample_handler cpu ci
+    end;
+    invoke cpu !prev_class ~handler:!prev_handler;
     if switching then begin
       incr switches;
       incr current

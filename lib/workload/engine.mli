@@ -4,8 +4,8 @@
 
     The engine is one per-CPU core and two schedulers over it.  A {!cpu}
     owns one processor's walkers and dispatch state: {!choose_class} picks
-    a service class from the workload mix and samples the handler its seed
-    dispatches to, {!invoke} walks the kernel graph from the class's seed
+    a service class from the workload mix, {!sample_handler} the handler
+    its seed dispatches to, {!invoke} walks the kernel graph from the class's seed
     to completion, and {!app_burst} runs the current application instance
     for as long as the OS-share rule allows (burst lengths self-regulate so
     the OS share of fetched words converges to [workload.os_fraction]).
@@ -36,7 +36,8 @@ type sink = {
 val null_sink : sink
 
 val trace_sink : Trace.t -> sink
-(** Records every event into the trace buffer. *)
+(** Records every event into the trace buffer (executions through
+    {!Trace.append_exec}, so an exec allocates nothing). *)
 
 (** {1 The per-CPU core} *)
 
@@ -49,14 +50,24 @@ val create_cpu :
     [g_class] drives class and handler choice and stays shared with the
     scheduler, which draws its own decisions from it; [g_os] drives the
     kernel walk; each instance's walker gets a stream split from [g_app],
-    in instance order.  Every event goes to [sink]. *)
+    in instance order.  Every event goes to [sink].  Dispatch goes
+    through a per-block override array of the kernel walker, which
+    assumes one class per dispatch block.
+    @raise Invalid_argument if two classes share a dispatch block. *)
 
-val choose_class : cpu -> int * int
-(** A service class index drawn from the workload mix, then the handler
-    index sampled from that class's handler weights. *)
+val choose_class : cpu -> int
+(** A service class index drawn from the workload mix.
+    @raise Invalid_argument if the mix does not sum to a positive value. *)
+
+val sample_handler : cpu -> int -> int
+(** A handler index of the class, drawn from its handler weights (0 when
+    they are all zero).  {!choose_class} then [sample_handler] is the
+    schedulers' draw order. *)
 
 val invoke : cpu -> int -> handler:int -> unit
-(** One OS invocation of the class, its seed dispatching to [handler]. *)
+(** One OS invocation of the class, its seed dispatching to [handler]:
+    the class's dispatch block takes that handler's arc from now until
+    the class is next invoked. *)
 
 val app_burst : cpu -> int -> bool
 (** [app_burst cpu slot] runs instance [slot mod n] until the OS share of

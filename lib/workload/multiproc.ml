@@ -49,8 +49,8 @@ let run ~program ~workload ~cpus:n ~words_per_cpu ~seed ?(xcall_prob = 0.0) () =
       Engine.invoke p.core interrupt ~handler:xcall_handler
     end
     else begin
-      let ci, handler = Engine.choose_class p.core in
-      Engine.invoke p.core ci ~handler;
+      let ci = Engine.choose_class p.core in
+      Engine.invoke p.core ci ~handler:(Engine.sample_handler p.core ci);
       if Engine.app_burst p.core p.bursts then p.bursts <- p.bursts + 1;
       if Prng.bernoulli p.g_class xcall_prob then begin
         (* Broadcast a cross-processor interrupt to every other CPU. *)
@@ -63,9 +63,9 @@ let run ~program ~workload ~cpus:n ~words_per_cpu ~seed ?(xcall_prob = 0.0) () =
      every CPU has its words. *)
   let rec loop () =
     let next = ref 0 in
-    Array.iteri
-      (fun i p -> if Engine.words p.core < Engine.words procs.(!next).core then next := i)
-      procs;
+    for i = 1 to n - 1 do
+      if Engine.words procs.(i).core < Engine.words procs.(!next).core then next := i
+    done;
     let p = procs.(!next) in
     if Engine.words p.core < words_per_cpu then begin
       step !next p;

@@ -39,6 +39,8 @@ let push t v =
 
 let append t ev = push t (encode ev)
 
+let append_exec t ~image ~block = push t ((block lsl 3) lor image)
+
 let length t = t.len
 
 let exec_count t = t.execs
@@ -65,7 +67,11 @@ let raw t i =
   t.data.(i)
 
 let append_raw t v =
-  ignore (decode v);
+  if v < 0 then invalid_arg "Trace.append_raw: negative event";
+  if v land 7 = tag_start && v lsr 3 >= Service.count then
+    invalid_arg "Trace.append_raw: invocation start of an unknown service class";
+  if v land 7 = tag_end && v <> tag_end then
+    invalid_arg "Trace.append_raw: invocation end with a payload";
   push t v
 
 let events_to_list t =

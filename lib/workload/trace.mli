@@ -17,6 +17,11 @@ val create : ?capacity:int -> unit -> t
 
 val append : t -> event -> unit
 
+val append_exec : t -> image:int -> block:Block.id -> unit
+(** [append_exec t ~image ~block] is [append t (Exec { image; block })]
+    without building the event: the capture path's allocation-free
+    append. *)
+
 val length : t -> int
 (** Total event count, including invocation markers. *)
 
@@ -39,7 +44,8 @@ val raw : t -> int -> int
 
 val append_raw : t -> int -> unit
 (** Append a packed event.  @raise Invalid_argument if the encoding is
-    not decodable. *)
+    not one {!append} produces: a negative int, an invocation start whose
+    class is not a {!Service.t}, or an invocation end with a payload. *)
 
 val events_to_list : t -> event list
 (** Testing aid; do not use on large traces. *)

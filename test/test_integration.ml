@@ -54,6 +54,57 @@ let test_context_determinism () =
     a.Context.avg_os_profile.Profile.total_blocks
     b.Context.avg_os_profile.Profile.total_blocks
 
+(* A context derived at another budget is the one Context.create builds
+   there: same kernel spec and seed, so the same traces, stats, profiles
+   and key; at its own budget it is the context itself. *)
+let test_context_at_words () =
+  let words = 40_000 and seed = 5 in
+  let ctx = Context.create ~spec:Spec.small ~words ~seed () in
+  check_bool "own budget is the context itself" true (Context.at_words ctx words == ctx);
+  let same_profile name (a : Profile.t) (b : Profile.t) =
+    check_bool (name ^ ": blocks") true (a.Profile.block = b.Profile.block);
+    check_bool (name ^ ": arcs") true (a.Profile.arc = b.Profile.arc);
+    check_float (name ^ ": total") a.Profile.total_blocks b.Profile.total_blocks;
+    check_float (name ^ ": invocations") a.Profile.invocations b.Profile.invocations
+  in
+  List.iter
+    (fun w ->
+      let derived = Context.at_words ctx w
+      and fresh = Context.create ~spec:Spec.small ~words:w ~seed () in
+      let name = Printf.sprintf "%d words" w in
+      check_int (name ^ ": words") w derived.Context.words;
+      check_string (name ^ ": key") (Context.key fresh) (Context.key derived);
+      Array.iteri
+        (fun i t ->
+          let raw t = Array.init (Trace.length t) (Trace.raw t) in
+          let wname = Printf.sprintf "%s, workload %d" name i in
+          check_bool (wname ^ ": trace") true (raw t = raw fresh.Context.traces.(i));
+          check_bool (wname ^ ": stats") true (derived.Context.stats.(i) = fresh.Context.stats.(i));
+          same_profile (wname ^ " OS profile") derived.Context.os_profiles.(i)
+            fresh.Context.os_profiles.(i);
+          Array.iteri
+            (fun k p ->
+              same_profile (Printf.sprintf "%s app %d profile" wname k) p
+                fresh.Context.app_profiles.(i).(k))
+            derived.Context.app_profiles.(i))
+        derived.Context.traces;
+      same_profile (name ^ ": averaged OS profile") derived.Context.avg_os_profile
+        fresh.Context.avg_os_profile;
+      Array.iteri
+        (fun i (_, (program : Program.t)) ->
+          Array.iteri
+            (fun k app ->
+              (* The fresh context generated its own kernel, so its apps are
+                 other values at the same positions. *)
+              let fresh_app = (snd fresh.Context.pairs.(i)).Program.apps.(k) in
+              same_profile
+                (Printf.sprintf "%s: averaged profile of app %d of workload %d" name k i)
+                (derived.Context.avg_app_profile app)
+                (fresh.Context.avg_app_profile fresh_app))
+            program.Program.apps)
+        derived.Context.pairs)
+    [ words / 2; words * 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Runner                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -308,6 +359,7 @@ let () =
           case "shape" test_context_shape;
           case "profiles match traces" test_context_profiles_match_traces;
           case "determinism" test_context_determinism;
+          case "at_words equals a fresh create" test_context_at_words;
         ] );
       ( "runner",
         [

@@ -348,6 +348,43 @@ let test_trace_raw_roundtrip () =
   check_bool "raw round-trips" true (Trace.get t2 0 = Trace.get t 0);
   check_raises_invalid "raw bounds" (fun () -> ignore (Trace.raw t 5))
 
+(* A packed event must be one Trace.append produces: no negative int (its
+   low bits would read as an execution of a huge block), no invocation
+   start of a class beyond Service.t, no invocation end with a payload. *)
+let test_trace_raw_rejects_undecodable () =
+  let t = Trace.create () in
+  let bad_class = (Service.count lsl 3) lor 7 in
+  check_raises_invalid "negative event rejected" (fun () -> Trace.append_raw t (-8));
+  check_raises_invalid "min_int rejected" (fun () -> Trace.append_raw t min_int);
+  check_raises_invalid "unknown class rejected" (fun () -> Trace.append_raw t bad_class);
+  check_raises_invalid "end with a payload rejected" (fun () ->
+      Trace.append_raw t ((1 lsl 3) lor 6));
+  check_int "nothing appended" 0 (Trace.length t);
+  Trace.append_raw t (((Service.count - 1) lsl 3) lor 7);
+  check_bool "last class accepted" true
+    (Trace.get t 0 = Trace.Invocation_start Service.all.(Service.count - 1));
+  (* Trace_file.load sign-extends each 32-bit word, so a word with the top
+     bit set arrives negative. *)
+  let path = Filename.temp_file "icache_trace" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let write word =
+        let b8 = Bytes.create 8 and b4 = Bytes.create 4 in
+        Bytes.set_int64_le b8 0 1L;
+        Bytes.set_int32_le b4 0 word;
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc Trace_file.magic;
+            output_bytes oc b8;
+            output_bytes oc b4)
+      in
+      write 0xFFFFFFF8l;
+      check_raises_invalid "top-bit word rejected by load" (fun () ->
+          ignore (Trace_file.load path));
+      write (Int32.of_int bad_class);
+      check_raises_invalid "unknown class rejected by load" (fun () ->
+          ignore (Trace_file.load path)))
+
 (* ------------------------------------------------------------------ *)
 (* Profile noise (Exp_noise)                                          *)
 (* ------------------------------------------------------------------ *)
@@ -480,6 +517,7 @@ let () =
           case "truncated file" test_trace_file_truncated;
           case "header claims 2^40 events" test_trace_file_huge_count;
           case "raw round-trip" test_trace_raw_roundtrip;
+          case "rejects undecodable events" test_trace_raw_rejects_undecodable;
         ] );
       ("noise", [ case "perturb" test_noise_perturb ]);
       ( "cache-theory",

@@ -120,6 +120,21 @@ let test_prng_choose_weighted () =
   check_raises_invalid "all zero" (fun () ->
       Prng.choose_weighted g [| (1, 0.0); (2, 0.0) |])
 
+(* The index draw behind choose_weighted: same stream, same pick, and the
+   last index takes the whole tail. *)
+let test_prng_choose_index () =
+  let g = Prng.of_int 5 and h = Prng.of_int 5 in
+  let w = [| 0.5; 0.0; 1.5; 2.0 |] in
+  for _ = 1 to 200 do
+    let i = Prng.choose_index g w in
+    check_bool "zero-weight index never chosen" true (i <> 1);
+    check_int "matches choose_weighted" i
+      (Prng.choose_weighted h (Array.mapi (fun j x -> (j, x)) w))
+  done;
+  check_int "single weight" 0 (Prng.choose_index g [| 0.25 |]);
+  check_raises_invalid "all zero" (fun () -> Prng.choose_index g [| 0.0; 0.0 |]);
+  check_raises_invalid "empty" (fun () -> Prng.choose_index g [||])
+
 let test_prng_shuffle_permutation () =
   let g = Prng.of_int 3 in
   let a = Array.init 50 Fun.id in
@@ -452,6 +467,7 @@ let () =
           case "bernoulli rate" test_prng_bernoulli_rate;
           case "choose" test_prng_choose;
           case "choose_weighted" test_prng_choose_weighted;
+          case "choose_index" test_prng_choose_index;
           case "shuffle permutation" test_prng_shuffle_permutation;
           qcheck prop_shuffle_preserves_multiset;
           qcheck prop_int_uniformish;

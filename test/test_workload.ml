@@ -52,11 +52,11 @@ let test_trace_iter_exec () =
 (* Walker                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let collect_walk ?choose g arc_prob start =
-  let w = Walker.create ~graph:g ~arc_prob ~prng:(Prng.of_int 5) ?choose () in
+let collect_walk g arc_prob start =
+  let w = Walker.create ~graph:g ~arc_prob ~prng:(Prng.of_int 5) () in
   Walker.start w start;
   let rec go acc =
-    match Walker.step w with None -> List.rev acc | Some b -> go (b :: acc)
+    match Walker.step w with -1 -> List.rev acc | b -> go (b :: acc)
   in
   go []
 
@@ -72,18 +72,28 @@ let test_walker_follows_call () =
 let test_walker_loop_iterations () =
   let lc = loop_call () in
   let arc_prob = Array.make (Graph.arc_count lc.g) 1.0 in
-  (* Deterministic 100% back edge would never terminate; use choose to take
-     the back edge exactly twice. *)
-  let taken = ref 0 in
-  let choose _b (arcs : Arc.id array) =
-    if Array.exists (fun a -> a = lc.back_edge) arcs then begin
-      incr taken;
-      if !taken <= 2 then Some lc.back_edge
-      else Some (Array.to_list arcs |> List.find (fun a -> a <> lc.back_edge))
-    end
-    else None
+  (* Deterministic 100% back edge would never terminate; override the
+     latch to take the back edge, and rewrite the override after its second
+     execution so the third one exits. *)
+  let exit_arc =
+    Array.to_list (Graph.out_arcs lc.g lc.c3) |> List.find (fun a -> a <> lc.back_edge)
   in
-  let walk = collect_walk ~choose lc.g arc_prob lc.c0 in
+  let override = Array.make (Graph.block_count lc.g) (-1) in
+  override.(lc.c3) <- lc.back_edge;
+  let w = Walker.create ~graph:lc.g ~arc_prob ~prng:(Prng.of_int 5) ~override () in
+  Walker.start w lc.c0;
+  let latches = ref 0 in
+  let rec go acc =
+    match Walker.step w with
+    | -1 -> List.rev acc
+    | b ->
+        if b = lc.c3 then begin
+          incr latches;
+          if !latches = 2 then override.(lc.c3) <- exit_arc
+        end;
+        go (b :: acc)
+  in
+  let walk = go [] in
   let count b = List.length (List.filter (fun x -> x = b) walk) in
   check_int "header executed 3 times" 3 (count lc.c1);
   check_int "callee body executed 3 times" 3 (count lc.l0);
@@ -100,14 +110,14 @@ let test_walker_active_depth () =
   (* Step until we are inside the callee. *)
   let rec step_until b =
     match Walker.step w with
-    | Some x when x = b -> ()
-    | Some _ -> step_until b
-    | None -> Alcotest.fail "walk ended early"
+    | -1 -> Alcotest.fail "walk ended early"
+    | x when x = b -> ()
+    | _ -> step_until b
   in
   step_until lc.l0;
   check_bool "depth positive inside callee" true (Walker.depth w >= 1);
   step_until lc.c4;
-  check_bool "drained" true (Walker.step w = None);
+  check_int "drained" (-1) (Walker.step w);
   check_bool "inactive after completion" false (Walker.active w)
 
 let test_walker_on_arc () =
@@ -122,7 +132,7 @@ let test_walker_on_arc () =
       ()
   in
   Walker.start w d.entry;
-  let rec drain () = match Walker.step w with Some _ -> drain () | None -> () in
+  let rec drain () = if Walker.step w >= 0 then drain () in
   drain ();
   check_bool "took the hot path arcs" true (List.rev !arcs = [ d.arc_ea; d.arc_ax ])
 
@@ -137,10 +147,10 @@ let test_walker_probabilistic_split () =
     Walker.start w d.entry;
     let rec drain () =
       match Walker.step w with
-      | Some b ->
+      | -1 -> ()
+      | b ->
           if b = d.a then incr a_count;
           drain ()
-      | None -> ()
     in
     drain ()
   done;
@@ -325,6 +335,16 @@ let test_engine_context_switches () =
   if w.Workload.switch_period > 0 then
     check_bool "context switches happen" true (stats.Engine.context_switches > 0)
 
+(* The dispatch override array holds one arc per block, so a kernel where
+   two classes dispatch from the same block is rejected up front. *)
+let test_engine_shared_dispatch_rejected () =
+  let w, p = (Workload.standard_programs (model ())).(0) in
+  let d = p.Program.os.Model.dispatches in
+  let shared = Array.mapi (fun ci x -> if ci = 1 then d.(0) else x) d in
+  let program = { p with Program.os = { p.Program.os with Model.dispatches = shared } } in
+  check_raises_invalid "two classes, one dispatch block" (fun () ->
+      ignore (Engine.capture ~program ~workload:w ~words:1_000 ~seed:3))
+
 let test_engine_trace_agrees_with_stats () =
   let _, p, run = run_one 1 in
   let mp, cpus = mp_cpus () in
@@ -340,6 +360,35 @@ let test_engine_trace_agrees_with_stats () =
       check_int "app words agree" stats.Engine.app_words !app;
       check_int "total is os + app" stats.Engine.total_words (!os + !app))
     ((p, run) :: List.map (fun c -> (mp, c)) cpus)
+
+(* The slow reference for Profile.capture: Engine.trace_sink and
+   Profile.sinks, composed event by event. *)
+let reference_capture ~program ~workload ~words ~seed =
+  let trace = Trace.create () in
+  let profiles, p = Profile.sinks ~program in
+  let t = Engine.trace_sink trace in
+  let sink =
+    {
+      Engine.on_exec =
+        (fun ~image ~block -> t.on_exec ~image ~block; p.on_exec ~image ~block);
+      on_arc = (fun ~image ~arc -> t.on_arc ~image ~arc; p.on_arc ~image ~arc);
+      on_invocation_start = (fun c -> t.on_invocation_start c; p.on_invocation_start c);
+      on_invocation_end = (fun () -> t.on_invocation_end (); p.on_invocation_end ());
+    }
+  in
+  let stats = Engine.run ~program ~workload ~words ~seed ~sink in
+  (trace, stats, profiles)
+
+let raw_events t = Array.init (Trace.length t) (Trace.raw t)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_profile (a : Profile.t) (b : Profile.t) =
+  let same_array x y = Array.length x = Array.length y && Array.for_all2 same_bits x y in
+  same_array a.Profile.block b.Profile.block
+  && same_array a.Profile.arc b.Profile.arc
+  && same_bits a.Profile.total_blocks b.Profile.total_blocks
+  && same_bits a.Profile.invocations b.Profile.invocations
 
 (* Profile.capture feeds one engine run to both the trace buffer and the
    per-image profiles: each sees the whole stream. *)
@@ -370,7 +419,88 @@ let test_engine_combine_sinks () =
     profiles;
   check_float "profile saw the invocations"
     (float_of_int (Array.fold_left ( + ) 0 stats.Engine.invocations))
-    profiles.(Program.os_image).Profile.invocations
+    profiles.(Program.os_image).Profile.invocations;
+  (* Arcs: every OS invocation runs to completion, so each executed
+     non-exit kernel block left through exactly one counted arc.  An
+     application walk may be paused inside a block's callee, so there an
+     execution can still lack its arc, never the reverse. *)
+  Array.iteri
+    (fun image (pr : Profile.t) ->
+      let g = Program.graph p image in
+      for b = 0 to Graph.block_count g - 1 do
+        let out = Graph.out_arcs g b in
+        if Array.length out > 0 then begin
+          let left = Array.fold_left (fun acc a -> acc +. pr.Profile.arc.(a)) 0.0 out in
+          if Program.is_os image then
+            check_float (Printf.sprintf "kernel block %d: arcs = executions" b)
+              pr.Profile.block.(b) left
+          else if left > pr.Profile.block.(b) then
+            Alcotest.failf "image %d block %d: %g arcs out of %g executions" image b
+              left pr.Profile.block.(b)
+        end
+      done)
+    profiles;
+  let _, _, reference = reference_capture ~program:p ~workload:w ~words:30_000 ~seed:3 in
+  check_bool "arcs, blocks and totals equal the reference sinks" true
+    (Array.for_all2 same_profile profiles reference)
+
+(* The fused capture sink equals the composed reference bit for bit:
+   raw events, stats, and every profile's arrays and totals. *)
+let prop_fused_capture_matches_reference =
+  QCheck.Test.make ~name:"fused capture = reference" ~count:12
+    QCheck.(
+      make
+        ~print:(fun (s, w, words, seed) ->
+          Printf.sprintf "spec seed %d, workload %d, %d words, engine seed %d" s w words seed)
+        Gen.(quad (0 -- 10_000) (0 -- 3) (2_000 -- 60_000) (0 -- 1_000)))
+    (fun (spec_seed, which, words, seed) ->
+      let model = Generator.generate (Spec.with_seed Spec.small spec_seed) in
+      let workload, program = (Workload.standard_programs model).(which) in
+      let t1, s1, p1 = Profile.capture ~program ~workload ~words ~seed in
+      let t2, s2, p2 = reference_capture ~program ~workload ~words ~seed in
+      raw_events t1 = raw_events t2
+      && s1 = s2
+      && Array.length p1 = Array.length p2
+      && Array.for_all2 same_profile p1 p2)
+
+(* ------------------------------------------------------------------ *)
+(* Capture allocation                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per exec event of a whole capture, setup included (the
+   trace buffer and count arrays are large enough to go straight to the
+   major heap). *)
+let minor_words_per_exec f =
+  let before = Gc.minor_words () in
+  let traces = f () in
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (List.fold_left (fun acc t -> acc + Trace.exec_count t) 0 traces)
+
+let test_capture_allocation_free () =
+  let words = 2_000_000 and seed = 11 in
+  Array.iteri
+    (fun i ((workload : Workload.t), program) ->
+      let check path per_exec =
+        check_bool
+          (Printf.sprintf "%s, %s: %.3f minor words/exec <= 0.5" workload.Workload.name
+             path per_exec)
+          true (per_exec <= 0.5)
+      in
+      check "Profile.capture"
+        (minor_words_per_exec (fun () ->
+             let t, _, _ = Profile.capture ~program ~workload ~words ~seed:(seed + i) in
+             [ t ]));
+      check "Engine.capture"
+        (minor_words_per_exec (fun () ->
+             [ fst (Engine.capture ~program ~workload ~words ~seed:(seed + i)) ]));
+      check "Multiproc.run"
+        (minor_words_per_exec (fun () ->
+             let r =
+               Multiproc.run ~program ~workload ~cpus:4 ~words_per_cpu:(words / 4)
+                 ~seed:(97 + i) ~xcall_prob:0.25 ()
+             in
+             Array.to_list (Array.map (fun (c : Multiproc.cpu) -> c.Multiproc.trace) r.Multiproc.cpus))))
+    (Workload.standard_programs (Lazy.force default_model))
 
 (* ------------------------------------------------------------------ *)
 (* Event-level pins                                                   *)
@@ -488,7 +618,7 @@ let () =
       ( "walker",
         [
           case "follows calls" test_walker_follows_call;
-          case "loop iterations via chooser" test_walker_loop_iterations;
+          case "loop iterations via override" test_walker_loop_iterations;
           case "active/depth" test_walker_active_depth;
           case "on_arc callback" test_walker_on_arc;
           case "probabilistic split" test_walker_probabilistic_split;
@@ -512,7 +642,10 @@ let () =
           case "mix respected" test_engine_mix_respected;
           case "context switches" test_engine_context_switches;
           case "trace agrees with stats" test_engine_trace_agrees_with_stats;
+          case "shared dispatch block rejected" test_engine_shared_dispatch_rejected;
           case "combine sinks" test_engine_combine_sinks;
+          qcheck prop_fused_capture_matches_reference;
+          case "capture allocation-free" test_capture_allocation_free;
         ] );
       ( "pins",
         [
